@@ -20,10 +20,13 @@
 //! never re-encoding an edge — and both the degree count and the
 //! per-iteration edge traversal stream **borrowed views**
 //! (`TaskCtx::for_each_record`), so the steady-state loop does no
-//! per-record allocation. Clone partials reconcile through *borrowed*
-//! keyed merges ([`KeyedMerge::folding`]): the merge streams `(vertex,
-//! (contrib, deg))` views out of the chunk bytes and owns only the
-//! surviving per-vertex accumulators.
+//! per-record allocation. Clone partials reconcile through keyed merges
+//! ([`KeyedMerge::folding`]) that run single-threaded on the critical
+//! path after every iteration: the merge decodes each record's vertex id
+//! and folds its `(contrib, deg)` value view in place into a table keyed
+//! by the decoded `u32` itself — no per-vertex allocation and no pointer
+//! chase on probe or rehash, which is what keeps a 65 536-vertex table
+//! fast once it no longer fits in cache.
 
 use hurricane_core::graph::{AppGraph, GraphBag, GraphBuilder};
 use hurricane_core::merges::{ConcatMerge, KeyedMerge};
@@ -58,9 +61,7 @@ impl Default for PageRankJob {
 
 /// Init-task merge: output 0 (the rank/degree table) merges by keyed
 /// degree sum; outputs ≥ 1 (per-iteration edge copies) concatenate.
-struct InitMerge {
-    vertices: u32,
-}
+struct InitMerge;
 
 impl MergeLogic for InitMerge {
     fn merge(
@@ -75,7 +76,6 @@ impl MergeLogic for InitMerge {
             // the per-clone partial degrees sum to the true out-degree.
             // The fold runs over borrowed views; only the per-vertex
             // accumulator is owned.
-            let _ = self.vertices;
             let keyed =
                 KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), b: (f64, u32)| {
                     acc.1 += b.1
@@ -127,7 +127,7 @@ impl PageRankJob {
                 }
                 Ok(())
             },
-            InitMerge { vertices: n },
+            InitMerge,
         );
         let mut prev_ranks = ranks0;
         for (i, &edges_i) in edge_copies.iter().enumerate() {

@@ -28,9 +28,10 @@
 //!   and [`KeyedMerge`] stream every record as a [`RecordView`] borrowed
 //!   straight from the chunk bytes and fold it into accumulators in
 //!   place. Only the *surviving* state is owned: one accumulator for a
-//!   reduce, one `(encoded key, accumulator)` table entry per distinct
-//!   key for a keyed merge. The records themselves — including string
-//!   payloads and nested sequences — are never copied out of the chunk.
+//!   reduce, one `(decoded key, accumulator)` table entry per distinct
+//!   key for a keyed merge. Values — including string payloads and
+//!   nested sequences — are never copied out of the chunk; a keyed
+//!   merge decodes each record's key, which is free for integer keys.
 //! * **Own the records** — [`SortedMerge`], [`SetUnionMerge`],
 //!   [`TopKMerge`] and [`MedianMerge`] must compare records that outlive
 //!   their chunks, so they convert each view to an owned record into a
@@ -95,7 +96,7 @@ use hurricane_format::{Chunk, ChunkReader, RecordView};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 
 /// Fan-in of one spill-merge round: how many scratch runs a bounded
@@ -103,11 +104,13 @@ use std::marker::PhantomData;
 /// many run cursors (one chunk each) plus one accumulator.
 const RUN_FANIN: usize = 8;
 
-/// Estimated table overhead per distinct key beyond the key bytes and
-/// accumulator value: hash-table slot, `Box<[u8]>` header, `Option`
-/// discriminant. The budget arithmetic is an estimate — accumulators
-/// with heap payloads (e.g. `Vec` values) count only their inline size.
-const ENTRY_OVERHEAD: u64 = 64;
+/// Estimated table overhead per distinct key beyond the inline key and
+/// accumulator: the `Option` discriminant, the hash table's control byte
+/// and its load-factor slack. An entry's estimate adds the key's encoded
+/// length, which stands in for an owned key's heap payload (a `String`'s
+/// bytes). The budget arithmetic is an estimate — accumulators with heap
+/// payloads (e.g. `Vec` values) count only their inline size.
+const ENTRY_OVERHEAD: u64 = 24;
 
 /// The default merge: concatenates all partial chunks into the output.
 ///
@@ -260,19 +263,29 @@ where
     }
 }
 
-/// FxHash-style byte hasher for the keyed-merge table. Keys are short
-/// encoded records hashed on every record of every partial; SipHash's
-/// per-call setup would dominate at that grain.
+/// FxHash-style hasher for the keyed-merge table. Keys are hashed on
+/// every record of every partial; SipHash's per-call setup would
+/// dominate at that grain. Integer keys (and tuple fields) take a
+/// one-multiply path; strings and byte keys take the 8-byte-word loop.
 #[derive(Default)]
 struct FxBytesHasher(u64);
 
+impl FxBytesHasher {
+    const SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
 impl Hasher for FxBytesHasher {
     fn write(&mut self, bytes: &[u8]) {
-        const SEED: u64 = 0x517c_c1b7_2722_0a95;
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            let v = u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"));
-            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
+            self.add(u64::from_le_bytes(
+                c.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
@@ -281,26 +294,45 @@ impl Hasher for FxBytesHasher {
             // Disambiguate short tails by length (rem.len() < 8, so byte
             // 7 is never a data byte).
             tail[7] = rem.len() as u8;
-            let v = u64::from_le_bytes(tail);
-            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
+            self.add(u64::from_le_bytes(tail));
         }
     }
 
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    /// The multiply mixes upward only, so the low bits — which pick the
+    /// table bucket — see just the low bits of the input: keys differing
+    /// only high up (`k << 32`, long strings sharing a tail) would share
+    /// a bucket. Rotating the well-mixed high bits down fixes that.
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 }
 
 /// Merges keyed records by combining values of equal keys — the merge
 /// combiner shape (group-by aggregation) generalized to clone partials.
 ///
-/// The hot loop never materializes a record: each `(key, value)` pair is
-/// decoded as borrowed views, the key's *encoded bytes* (which are equal
-/// iff the keys are equal — the codec is canonical) index a hash table,
-/// and the value view folds into that key's accumulator in place. Only
-/// the surviving entries own memory: one boxed key-byte string plus one
-/// accumulator per distinct key. Keys are decoded once at emit time and
-/// the output is written in key order, so results are deterministic.
+/// The hot loop decodes each record's key once and folds its value —
+/// a borrowed view, never materialized — into that key's accumulator in
+/// place. The table is keyed by the *decoded* key, stored inline: no
+/// per-key heap allocation (beyond an owned key's own payload, such as a
+/// `String`'s bytes), and no pointer chase on a probe or on a rehash as
+/// the table grows, so integer-keyed merges at PageRank's cardinality
+/// stay a flat array walk. The output is written in key order, so results
+/// are deterministic.
 pub struct KeyedMerge<K, V, F> {
     fold: F,
     _marker: PhantomData<fn(&K, &V)>,
@@ -308,7 +340,7 @@ pub struct KeyedMerge<K, V, F> {
 
 impl<K, V, C> KeyedMerge<K, V, OwnedCombine<C>>
 where
-    K: RecordView + Ord + Send + Sync + 'static,
+    K: RecordView + Ord + Hash + Send + Sync + 'static,
     V: RecordView + Send + Sync + 'static,
     C: Fn(V, V) -> V + Send + Sync + 'static,
 {
@@ -323,7 +355,7 @@ where
 
 impl<K, V, C> KeyedMerge<K, V, InPlaceFold<C>>
 where
-    K: RecordView + Ord + Send + Sync + 'static,
+    K: RecordView + Ord + Hash + Send + Sync + 'static,
     V: RecordView + Send + Sync + 'static,
     C: for<'a> Fn(&mut V, V::View<'a>) + Send + Sync + 'static,
 {
@@ -338,8 +370,8 @@ where
     }
 }
 
-/// The keyed-merge accumulator table: encoded key bytes → accumulator.
-type KeyTable<V> = HashMap<Box<[u8]>, Option<V>, BuildHasherDefault<FxBytesHasher>>;
+/// The keyed-merge accumulator table: decoded key → accumulator.
+type KeyTable<K, V> = HashMap<K, Option<V>, BuildHasherDefault<FxBytesHasher>>;
 
 /// A read cursor over one sorted scratch run: walks `(key, value)`
 /// records across the run's chunks, exposing the current decoded key
@@ -413,80 +445,63 @@ impl<K: RecordView + Ord> RunCursor<K> {
 
 impl<K, V, F> KeyedMerge<K, V, F>
 where
-    K: RecordView + Ord + Send + Sync + 'static,
+    K: RecordView + Ord + Hash + Send + Sync + 'static,
     V: RecordView + Send + Sync + 'static,
     F: ViewFold<V>,
 {
     /// Folds one chunk of `(key, value)` records into the table.
     ///
-    /// Keyed by the key's encoded bytes rather than the decoded key:
-    /// equal keys encode identically (and vice versa), so no owned
-    /// key — and no Hash bridge between K and its view — is needed on
-    /// the per-record path. The manual span walk (instead of a
-    /// ChunkReader driver) is what exposes each key's byte range.
+    /// The key decodes once per record and probes the table directly;
+    /// the value stays a borrowed view folded in place. The manual span
+    /// walk (not a ChunkReader driver) exposes each key's encoded length
+    /// for the residency estimate.
     fn fold_chunk(
         &self,
         chunk: &Chunk,
-        table: &mut KeyTable<V>,
+        table: &mut KeyTable<K, V>,
         table_bytes: &mut u64,
     ) -> Result<(), EngineError> {
         let mut rest = chunk.bytes();
         while !rest.is_empty() {
-            let record_start = rest;
-            K::decode_view(&mut rest).map_err(EngineError::Codec)?;
-            let key_bytes = &record_start[..record_start.len() - rest.len()];
+            let key_start = rest.len();
+            let key = K::decode(&mut rest).map_err(EngineError::Codec)?;
+            let key_len = (key_start - rest.len()) as u64;
             let value = V::decode_view(&mut rest).map_err(EngineError::Codec)?;
-            match table.get_mut(key_bytes) {
-                Some(slot) => self.fold.fold(slot, value),
-                None => {
-                    let mut slot = None;
-                    self.fold.fold(&mut slot, value);
-                    *table_bytes +=
-                        key_bytes.len() as u64 + std::mem::size_of::<V>() as u64 + ENTRY_OVERHEAD;
-                    table.insert(key_bytes.into(), slot);
-                }
-            }
+            let slot = table.entry(key).or_insert_with(|| {
+                *table_bytes += key_len + (size_of::<K>() + size_of::<V>()) as u64 + ENTRY_OVERHEAD;
+                None
+            });
+            self.fold.fold(slot, value);
         }
         Ok(())
     }
 
-    /// Drains the table into `(key, value)` entries sorted by key.
-    fn drain_sorted(table: &mut KeyTable<V>) -> Vec<(K, V)> {
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(table.len());
-        for (key_bytes, slot) in table.drain() {
-            let mut kb = &key_bytes[..];
-            let key = K::decode(&mut kb).expect("key bytes were validated on ingest");
-            entries.push((key, slot.expect("every table slot is filled on insert")));
-        }
+    /// Drains the table to `w` in ascending key order and flushes;
+    /// returns the record count. The terminal emit of both the bounded
+    /// and unbounded paths, and every spill, share it.
+    fn write_sorted(table: &mut KeyTable<K, V>, w: &mut BagWriter) -> Result<u64, EngineError> {
+        let mut entries: Vec<(K, V)> = table
+            .drain()
+            .map(|(k, slot)| (k, slot.expect("every table slot is filled on insert")))
+            .collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-
-    /// Writes the table to `out` in ascending key order — the terminal
-    /// emit both the bounded and unbounded paths share.
-    fn emit_table(mut table: KeyTable<V>, out: &mut BagWriter) -> Result<(), EngineError> {
-        for rec in &Self::drain_sorted(&mut table) {
-            out.write_record(rec)?;
+        for rec in &entries {
+            w.write_record(rec)?;
         }
-        out.flush()?;
-        Ok(())
+        w.flush()?;
+        Ok(entries.len() as u64)
     }
 
     /// Drains the table into a fresh sorted scratch run; returns its bag.
     fn spill_table(
         &self,
-        table: &mut KeyTable<V>,
+        table: &mut KeyTable<K, V>,
         table_bytes: &mut u64,
         sink: &mut dyn SpillSink,
         stats: &mut SpillStats,
     ) -> Result<BagId, EngineError> {
-        let entries = Self::drain_sorted(table);
         let mut w = sink.create_run()?;
-        for rec in &entries {
-            w.write_record(rec)?;
-        }
-        w.flush()?;
-        stats.spilled_records += entries.len() as u64;
+        stats.spilled_records += Self::write_sorted(table, &mut w)?;
         stats.runs += 1;
         *table_bytes = 0;
         Ok(w.bag_id())
@@ -540,7 +555,7 @@ where
 
 impl<K, V, F> MergeLogic for KeyedMerge<K, V, F>
 where
-    K: RecordView + Ord + Send + Sync + 'static,
+    K: RecordView + Ord + Hash + Send + Sync + 'static,
     V: RecordView + Send + Sync + 'static,
     F: ViewFold<V>,
 {
@@ -550,14 +565,14 @@ where
         partials: &mut [BagReader],
         out: &mut BagWriter,
     ) -> Result<(), EngineError> {
-        let mut table: KeyTable<V> = HashMap::default();
+        let mut table: KeyTable<K, V> = HashMap::default();
         let mut table_bytes = 0u64;
         for p in partials {
             while let Some(chunk) = p.next_chunk()? {
                 self.fold_chunk(&chunk, &mut table, &mut table_bytes)?;
             }
         }
-        Self::emit_table(table, out)
+        Self::write_sorted(&mut table, out).map(drop)
     }
 
     /// External aggregation under a memory budget — see the module doc's
@@ -572,7 +587,7 @@ where
         sink: &mut dyn SpillSink,
     ) -> Result<SpillStats, EngineError> {
         let mut stats = SpillStats::default();
-        let mut table: KeyTable<V> = HashMap::default();
+        let mut table: KeyTable<K, V> = HashMap::default();
         let mut table_bytes = 0u64;
         let mut runs: VecDeque<BagId> = VecDeque::new();
         for p in partials.iter_mut() {
@@ -592,7 +607,7 @@ where
         }
         if runs.is_empty() {
             // Nothing spilled: exactly the unbounded emit.
-            Self::emit_table(table, out)?;
+            Self::write_sorted(&mut table, out)?;
             return Ok(stats);
         }
         if !table.is_empty() {
@@ -1609,5 +1624,92 @@ mod tests {
         assert_ne!(hash(b"abc"), hash(b"abcd"));
         assert_ne!(hash(&[0; 3]), hash(&[0; 4]));
         assert_eq!(hash(b"hurricane"), hash(b"hurricane"));
+
+        // The one-multiply integer paths, as `Hash` drives them for keys.
+        fn hash_key<K: Hash>(k: &K) -> u64 {
+            let mut h = FxBytesHasher::default();
+            k.hash(&mut h);
+            h.finish()
+        }
+        let dense: std::collections::HashSet<u64> = (0..1u32 << 16).map(|k| hash_key(&k)).collect();
+        assert_eq!(dense.len(), 1 << 16, "distinct u32 keys hash distinctly");
+        let wide: std::collections::HashSet<u64> =
+            (0..1u64 << 12).map(|k| hash_key(&(k << 40 | k))).collect();
+        assert_eq!(wide.len(), 1 << 12, "distinct u64 keys hash distinctly");
+        assert_ne!(hash_key(&(1u32, 2u32)), hash_key(&(2u32, 1u32)));
+        // Keys differing only in high bits still spread over buckets.
+        let low_bits: std::collections::HashSet<u64> =
+            (0..1024u64).map(|k| hash_key(&(k << 32)) & 1023).collect();
+        assert!(
+            low_bits.len() > 512,
+            "only {} of 1024 buckets hit",
+            low_bits.len()
+        );
+        assert_ne!(hash_key(&"ab".to_string()), hash_key(&"ab\0".to_string()));
+    }
+
+    /// PageRank's merge shape: two clone partials of every one of 65 536
+    /// dense vertices, each partial's chunks landing in shuffled order —
+    /// a table far past cache, folded exactly like a sequential fold.
+    #[test]
+    fn keyed_merge_at_pagerank_shape_matches_sequential_fold() {
+        const VERTICES: u32 = 1 << 16;
+        const CHUNK: usize = 32 * 1024;
+        let partial = |i: u32| -> Vec<(u32, (f64, u32))> {
+            (0..VERTICES)
+                .map(|v| (v, ((v ^ i) as f64 * 0.25, v % 7 + i)))
+                .collect()
+        };
+        // One storage node: a bag reads back in insertion order, so the
+        // output's global key order is observable.
+        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        let mut rng = hurricane_common::rng::DetRng::new(7);
+        let mut readers = Vec::new();
+        for i in 0..2u32 {
+            let mut chunks = Vec::new();
+            let mut buf = Vec::new();
+            for rec in partial(i) {
+                if buf.len() + rec.encoded_len() > CHUNK {
+                    chunks.push(Chunk::from_vec(std::mem::take(&mut buf)));
+                }
+                rec.encode(&mut buf);
+            }
+            chunks.push(Chunk::from_vec(buf));
+            rng.shuffle(&mut chunks);
+            let bag = cluster.create_bag();
+            let mut w = BagWriter::open(cluster.clone(), bag, i as u64, CHUNK);
+            for c in chunks {
+                w.emit_chunk(c).unwrap();
+            }
+            w.flush().unwrap();
+            cluster.seal_bag(bag).unwrap();
+            readers.push(BagReader::open(
+                cluster.clone(),
+                bag,
+                100 + i as u64,
+                4,
+                None,
+            ));
+        }
+        let merge =
+            KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), b: (f64, u32)| {
+                acc.0 += b.0;
+                acc.1 = acc.1.max(b.1);
+            });
+        let out_bag = cluster.create_bag();
+        let mut out = BagWriter::open(cluster.clone(), out_bag, 77, CHUNK);
+        merge.merge(0, &mut readers, &mut out).unwrap();
+        cluster.seal_bag(out_bag).unwrap();
+        let got: Vec<(u32, (f64, u32))> = read_bag(&cluster, out_bag);
+
+        let (p0, p1) = (partial(0), partial(1));
+        let want: Vec<(u32, (f64, u32))> = p0
+            .iter()
+            .zip(&p1)
+            .map(|(&(v, a), &(_, b))| (v, (a.0 + b.0, a.1.max(b.1))))
+            .collect();
+        assert_eq!(got.len(), VERTICES as usize, "every key exactly once");
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "keys ascending");
+        assert_eq!(got, want, "values equal the sequential fold");
     }
 }
