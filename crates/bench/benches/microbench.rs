@@ -326,17 +326,23 @@ fn bench_merge_path(c: &mut Criterion) {
     });
 
     // PageRank's merge shape: every one of 65 536 dense vertices in each
-    // of two partials, `(u32, (f64, u32))` records. Unlike the 1 024-key
-    // rows above, the table leaves cache. Informational (not in the gated
-    // baseline).
+    // of two partials, `(u32, (f64, u32))` records. `dense_64k` writes
+    // each partial in ascending key order, as PageRank's clones do, so
+    // the merge takes the k-way run path; `dense_64k_unsorted` shuffles
+    // the same records, which sends it to the hash table — unlike the
+    // 1 024-key rows above, a table that leaves cache. Informational (not
+    // in the gated baseline).
     const DENSE_KEYS: u32 = 1 << 16;
-    let dense_setup = || {
+    let ascending: Vec<u32> = (0..DENSE_KEYS).collect();
+    let mut shuffled = ascending.clone();
+    DetRng::new(0xD15E).shuffle(&mut shuffled);
+    let dense_setup = |order: &[u32]| {
         let cluster = StorageCluster::new(1, ClusterConfig::default());
         let mut readers = Vec::new();
         for part in 0..PARTIALS {
             let bag = cluster.create_bag();
             let mut w = BagWriter::open(cluster.clone(), bag, part, MERGE_CHUNK);
-            for v in 0..DENSE_KEYS {
+            for &v in order {
                 w.write_record(&(v, (v as f64, part as u32))).unwrap();
             }
             w.flush().unwrap();
@@ -348,20 +354,25 @@ fn bench_merge_path(c: &mut Criterion) {
         (readers, out)
     };
     g.throughput(Throughput::Elements(PARTIALS * DENSE_KEYS as u64));
-    g.bench_function("keyed_fold/dense_64k", |b| {
-        let live =
-            KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), v: (f64, u32)| {
-                acc.0 += v.0;
-                acc.1 = acc.1.max(v.1);
-            });
-        b.iter_batched(
-            dense_setup,
-            |(mut readers, mut out)| {
-                live.merge(0, &mut readers, &mut out).unwrap();
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    for (name, order) in [
+        ("keyed_fold/dense_64k", &ascending),
+        ("keyed_fold/dense_64k_unsorted", &shuffled),
+    ] {
+        g.bench_function(name, |b| {
+            let live =
+                KeyedMerge::<u32, (f64, u32), _>::folding(|acc: &mut (f64, u32), v: (f64, u32)| {
+                    acc.0 += v.0;
+                    acc.1 = acc.1.max(v.1);
+                });
+            b.iter_batched(
+                || dense_setup(order),
+                |(mut readers, mut out)| {
+                    live.merge(0, &mut readers, &mut out).unwrap();
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
 
     // Sequence iteration: records holding (id, name) element lists —
     // the shape where the validating second pass genuinely re-pays

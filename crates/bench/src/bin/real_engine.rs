@@ -1,9 +1,16 @@
 //! Laptop-scale comparison on the *real* engines: Hurricane (cloning
 //! on/off) vs the real static-partitioning baseline, on skewed ClickLog.
 //!
-//! This is the non-simulated counterpart of Figure 12: same workload and
-//! skew knob, executed on threads, demonstrating that cloning — not the
-//! simulator — closes the skew gap.
+//! The non-simulated counterpart of Figure 12's setup: the same workload
+//! and skew knob, executed on threads. Each cell is one wall-clock shot
+//! of deploy + run + read, with every engine's result checked against
+//! the reference. At its 400k records a job finishes in tens of
+//! milliseconds and usually no clone fires (the `clones` column), so
+//! this binary measures per-job fixed cost and correctness across skew,
+//! not whether cloning closes the skew gap. For makespan — repeated
+//! runs, medians, clone gain over hurricane-nc and a per-layer split at
+//! a size where clones fire — use `perfbench`
+//! (`cargo run --release --manifest-path perfbench/Cargo.toml`).
 //!
 //! `--merge-memory-budget BYTES` caps each merge output's accumulator
 //! table (`HurricaneConfig::merge_memory_budget`): past the budget the

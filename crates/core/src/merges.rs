@@ -28,10 +28,13 @@
 //!   and [`KeyedMerge`] stream every record as a [`RecordView`] borrowed
 //!   straight from the chunk bytes and fold it into accumulators in
 //!   place. Only the *surviving* state is owned: one accumulator for a
-//!   reduce, one `(decoded key, accumulator)` table entry per distinct
-//!   key for a keyed merge. Values — including string payloads and
-//!   nested sequences — are never copied out of the chunk; a keyed
-//!   merge decodes each record's key, which is free for integer keys.
+//!   reduce; for a keyed merge, one `(decoded key, accumulator)` table
+//!   entry per distinct key — or, when every partial arrives key-sorted,
+//!   just the partials' chunk handles (already resident in storage) and
+//!   one accumulator at a time, k-way merged. Values — including string
+//!   payloads and nested sequences — are never copied out of the chunk;
+//!   a keyed merge decodes each record's key, which is free for integer
+//!   keys.
 //! * **Own the records** — [`SortedMerge`], [`SetUnionMerge`],
 //!   [`TopKMerge`] and [`MedianMerge`] must compare records that outlive
 //!   their chunks, so they convert each view to an owned record into a
@@ -325,14 +328,34 @@ impl Hasher for FxBytesHasher {
 /// Merges keyed records by combining values of equal keys — the merge
 /// combiner shape (group-by aggregation) generalized to clone partials.
 ///
-/// The hot loop decodes each record's key once and folds its value —
-/// a borrowed view, never materialized — into that key's accumulator in
-/// place. The table is keyed by the *decoded* key, stored inline: no
-/// per-key heap allocation (beyond an owned key's own payload, such as a
-/// `String`'s bytes), and no pointer chase on a probe or on a rehash as
-/// the table grows, so integer-keyed merges at PageRank's cardinality
-/// stay a flat array walk. The output is written in key order, so results
-/// are deterministic.
+/// Every value folds as a borrowed view, never materialized, into its
+/// key's accumulator in place, and the output is written in ascending
+/// key order. An unbounded [`MergeLogic::merge`] picks one of two paths
+/// from what it observes in its input — there is no switch:
+///
+/// * **Run path.** Clones of an iterative job typically write their
+///   partials in ascending key order (PageRank's `for v in 0..n`), but a
+///   bag does not keep chunk order, so a partial arrives as internally
+///   sorted chunks in shuffled order. The merge checks each chunk as it
+///   arrives — decoding its keys, skipping the values — for strictly
+///   ascending keys and records its first and last key. When a partial
+///   drains, its chunks are ordered by first key; it is a *sorted run*
+///   iff adjacent chunk ranges are disjoint. If every partial is a run,
+///   the runs k-way merge through the same cursors as the spill
+///   re-fold. Memory is the partials' chunk handles (already resident in
+///   storage) plus one accumulator; there is no table to build, probe
+///   or sort.
+/// * **Table path.** The first chunk or partial that fails the check
+///   switches to a hash table keyed by the *decoded* key, stored inline:
+///   the chunks buffered so far fold in arrival order, then the rest
+///   streams in unbuffered, and the table drains sorted. Unsorted input
+///   pays only the key decodes up to the first descent for the check.
+///
+/// Both paths fold equal keys in partial-index order (a run holds each
+/// key once) and emit through the same writer, so their output is
+/// byte-identical even for a non-associative fold such as an `f64` sum.
+/// [`MergeLogic::merge_bounded`] always takes the table path, spilling
+/// it under its budget (see the module doc's spill contract).
 pub struct KeyedMerge<K, V, F> {
     fold: F,
     _marker: PhantomData<fn(&K, &V)>,
@@ -373,49 +396,64 @@ where
 /// The keyed-merge accumulator table: decoded key → accumulator.
 type KeyTable<K, V> = HashMap<K, Option<V>, BuildHasherDefault<FxBytesHasher>>;
 
-/// A read cursor over one sorted scratch run: walks `(key, value)`
-/// records across the run's chunks, exposing the current decoded key
-/// (for the k-way minimum) and the current value's byte range (folded
-/// lazily as a borrowed view, never owned).
+/// Where a [`RunCursor`] reads its key-ordered chunks from.
+enum RunSource {
+    /// A spilled scratch run, pinned to one storage node so its chunks
+    /// read back in key order.
+    Spilled(BagReader),
+    /// A partial already in memory, its chunks ordered by first key.
+    Chunks(std::vec::IntoIter<Chunk>),
+}
+
+impl RunSource {
+    fn next_chunk(&mut self) -> Result<Option<Chunk>, EngineError> {
+        match self {
+            RunSource::Spilled(reader) => reader.next_chunk(),
+            RunSource::Chunks(chunks) => Ok(chunks.next()),
+        }
+    }
+}
+
+/// A read cursor over one sorted run: walks `(key, value)` records
+/// across the run's chunks, exposing the current decoded key (for the
+/// k-way minimum) and folding the current value as a borrowed view,
+/// decoded once and never owned.
 struct RunCursor<K> {
-    reader: BagReader,
+    source: RunSource,
     chunk: Option<Chunk>,
+    /// Offset of the current record's value in `chunk`.
     pos: usize,
     /// Decoded key of the current record; `None` once the run drains.
     key: Option<K>,
-    val_range: (usize, usize),
 }
 
 impl<K: RecordView + Ord> RunCursor<K> {
-    fn new(reader: BagReader) -> Self {
-        Self {
-            reader,
+    /// Opens a cursor positioned at the run's first record.
+    fn open(source: RunSource) -> Result<Self, EngineError> {
+        let mut c = Self {
+            source,
             chunk: None,
             pos: 0,
             key: None,
-            val_range: (0, 0),
-        }
+        };
+        c.advance()?;
+        Ok(c)
     }
 
-    /// Parses the next record, fetching the next chunk when the current
-    /// one is spent; `key` becomes `None` at end of run.
-    fn advance<V: RecordView>(&mut self) -> Result<(), EngineError> {
+    /// Decodes the next record's key, fetching the next chunk when the
+    /// current one is spent; `key` becomes `None` at end of run.
+    fn advance(&mut self) -> Result<(), EngineError> {
         loop {
             if let Some(chunk) = &self.chunk {
                 let bytes = chunk.bytes();
                 if self.pos < bytes.len() {
                     let mut rest = &bytes[self.pos..];
-                    let key = K::decode(&mut rest).map_err(EngineError::Codec)?;
-                    let val_start = bytes.len() - rest.len();
-                    V::decode_view(&mut rest).map_err(EngineError::Codec)?;
-                    let val_end = bytes.len() - rest.len();
-                    self.key = Some(key);
-                    self.val_range = (val_start, val_end);
-                    self.pos = val_end;
+                    self.key = Some(K::decode(&mut rest).map_err(EngineError::Codec)?);
+                    self.pos = bytes.len() - rest.len();
                     return Ok(());
                 }
             }
-            match self.reader.next_chunk()? {
+            match self.source.next_chunk()? {
                 Some(c) => {
                     self.chunk = Some(c);
                     self.pos = 0;
@@ -429,18 +467,47 @@ impl<K: RecordView + Ord> RunCursor<K> {
         }
     }
 
-    /// Folds the current record's value view into `acc`.
-    fn fold_value<V: RecordView, F: ViewFold<V>>(
-        &self,
+    /// Folds the current record's value view into `acc` and advances to
+    /// the next record.
+    fn fold_next<V: RecordView, F: ViewFold<V>>(
+        &mut self,
         fold: &F,
         acc: &mut Option<V>,
     ) -> Result<(), EngineError> {
-        let chunk = self.chunk.as_ref().expect("cursor is at a live record");
-        let mut v = &chunk.bytes()[self.val_range.0..self.val_range.1];
-        let view = V::decode_view(&mut v).map_err(EngineError::Codec)?;
-        fold.fold(acc, view);
-        Ok(())
+        let bytes = self
+            .chunk
+            .as_ref()
+            .expect("cursor is at a live record")
+            .bytes();
+        let mut rest = &bytes[self.pos..];
+        fold.fold(acc, V::decode_view(&mut rest).map_err(EngineError::Codec)?);
+        self.pos = bytes.len() - rest.len();
+        self.advance()
     }
+}
+
+/// A buffered partial chunk with its first and last key, for the run
+/// check.
+struct ChunkSpan<K> {
+    first: K,
+    /// `None` for a single-record chunk, whose last key is `first`.
+    last: Option<K>,
+    chunk: Chunk,
+}
+
+impl<K> ChunkSpan<K> {
+    fn last(&self) -> &K {
+        self.last.as_ref().unwrap_or(&self.first)
+    }
+}
+
+/// What the run check found in a keyed merge's partials.
+enum Partials {
+    /// Every partial is a sorted run: its chunks, in key order.
+    Runs(Vec<Vec<Chunk>>),
+    /// A check failed: every chunk read so far, in a fold order equal to
+    /// arrival order, and the index of the partial to stream on from.
+    Unsorted { buffered: Vec<Chunk>, resume: usize },
 }
 
 impl<K, V, F> KeyedMerge<K, V, F>
@@ -449,6 +516,61 @@ where
     V: RecordView + Send + Sync + 'static,
     F: ViewFold<V>,
 {
+    /// Checks one non-empty chunk for the run path: decodes every key,
+    /// skipping the value view. Returns the chunk's key span if its keys
+    /// strictly ascend, `None` at the first descent or repeat.
+    fn key_span(chunk: &Chunk) -> Result<Option<(K, Option<K>)>, EngineError> {
+        let mut rest = chunk.bytes();
+        let first = K::decode(&mut rest).map_err(EngineError::Codec)?;
+        V::decode_view(&mut rest).map_err(EngineError::Codec)?;
+        let mut last: Option<K> = None;
+        while !rest.is_empty() {
+            let key = K::decode(&mut rest).map_err(EngineError::Codec)?;
+            V::decode_view(&mut rest).map_err(EngineError::Codec)?;
+            if key <= *last.as_ref().unwrap_or(&first) {
+                return Ok(None);
+            }
+            last = Some(key);
+        }
+        Ok(Some((first, last)))
+    }
+
+    /// Buffers every partial as a sorted run: its chunks, each strictly
+    /// ascending, ordered by first key with disjoint key ranges. Stops
+    /// reading at the first failed check.
+    fn sorted_runs(partials: &mut [BagReader]) -> Result<Partials, EngineError> {
+        let mut runs: Vec<Vec<Chunk>> = Vec::with_capacity(partials.len());
+        // A completed run holds each key once, so the order of its
+        // chunks cannot change any key's fold order.
+        let unsorted = |runs: Vec<Vec<Chunk>>, spans: Vec<ChunkSpan<K>>, failed, resume| {
+            let mut buffered: Vec<Chunk> = runs.into_iter().flatten().collect();
+            buffered.extend(spans.into_iter().map(|s| s.chunk).chain(failed));
+            Partials::Unsorted { buffered, resume }
+        };
+        for (i, p) in partials.iter_mut().enumerate() {
+            let mut spans: Vec<ChunkSpan<K>> = Vec::new();
+            while let Some(chunk) = p.next_chunk()? {
+                if chunk.bytes().is_empty() {
+                    continue;
+                }
+                match Self::key_span(&chunk)? {
+                    Some((first, last)) => spans.push(ChunkSpan { first, last, chunk }),
+                    None => return Ok(unsorted(runs, spans, Some(chunk), i)),
+                }
+            }
+            let mut order: Vec<usize> = (0..spans.len()).collect();
+            order.sort_unstable_by(|&a, &b| spans[a].first.cmp(&spans[b].first));
+            if !order
+                .windows(2)
+                .all(|w| spans[w[0]].last() < &spans[w[1]].first)
+            {
+                return Ok(unsorted(runs, spans, None, i + 1));
+            }
+            runs.push(order.iter().map(|&s| spans[s].chunk.clone()).collect());
+        }
+        Ok(Partials::Runs(runs))
+    }
+
     /// Folds one chunk of `(key, value)` records into the table.
     ///
     /// The key decodes once per record and probes the table directly;
@@ -507,49 +629,44 @@ where
         Ok(w.bag_id())
     }
 
-    /// K-way merges sorted `runs` into `out`, folding equal keys in run
-    /// (i.e. oldest-first) order.
-    fn merge_runs(
-        &self,
-        runs: &[BagId],
-        sink: &mut dyn SpillSink,
-        out: &mut BagWriter,
-    ) -> Result<(), EngineError> {
-        let mut cursors = Vec::with_capacity(runs.len());
-        for &bag in runs {
-            let mut c = RunCursor::<K>::new(sink.open_run(bag)?);
-            c.advance::<V>()?;
-            cursors.push(c);
-        }
+    /// K-way merges sorted runs into `out`, folding equal keys in source
+    /// order: oldest-first for spilled runs, partial-index order for
+    /// in-memory partials.
+    fn merge_runs(&self, sources: Vec<RunSource>, out: &mut BagWriter) -> Result<(), EngineError> {
+        let mut cursors = sources
+            .into_iter()
+            .map(RunCursor::<K>::open)
+            .collect::<Result<Vec<_>, _>>()?;
         loop {
-            let mut min: Option<usize> = None;
+            let mut min: Option<(usize, &K)> = None;
             for (i, c) in cursors.iter().enumerate() {
                 if let Some(k) = &c.key {
-                    if min.is_none_or(|m| k < cursors[m].key.as_ref().expect("min key is live")) {
-                        min = Some(i);
+                    if min.is_none_or(|(_, m)| k < m) {
+                        min = Some((i, k));
                     }
                 }
             }
-            let Some(m) = min else { break };
-            // Keys are unique within a run, so ties span distinct runs;
-            // cursor index order is run age order.
-            let ties: Vec<usize> = cursors
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.key == cursors[m].key)
-                .map(|(i, _)| i)
-                .collect();
-            let mut acc: Option<V> = None;
-            for &i in &ties {
-                cursors[i].fold_value(&self.fold, &mut acc)?;
-            }
+            let Some((m, _)) = min else { break };
+            // `m` is the first cursor at the minimum and keys are unique
+            // within a run, so the ties are later cursors at an equal key.
             let key = cursors[m].key.take().expect("min key is live");
-            for &i in &ties {
-                cursors[i].advance::<V>()?;
+            let mut acc: Option<V> = None;
+            cursors[m].fold_next(&self.fold, &mut acc)?;
+            for c in &mut cursors[m + 1..] {
+                if c.key.as_ref() == Some(&key) {
+                    c.fold_next(&self.fold, &mut acc)?;
+                }
             }
             out.write_record(&(key, acc.expect("at least one value folded")))?;
         }
         Ok(())
+    }
+
+    /// Opens spilled runs as merge sources.
+    fn spilled(runs: &[BagId], sink: &mut dyn SpillSink) -> Result<Vec<RunSource>, EngineError> {
+        runs.iter()
+            .map(|&bag| sink.open_run(bag).map(RunSource::Spilled))
+            .collect()
     }
 }
 
@@ -559,15 +676,29 @@ where
     V: RecordView + Send + Sync + 'static,
     F: ViewFold<V>,
 {
+    /// Takes the run path when every partial is a sorted run, else the
+    /// table path — see the [`KeyedMerge`] doc.
     fn merge(
         &self,
         _output_index: usize,
         partials: &mut [BagReader],
         out: &mut BagWriter,
     ) -> Result<(), EngineError> {
+        let (buffered, resume) = match Self::sorted_runs(partials)? {
+            Partials::Runs(runs) => {
+                let sources = runs.into_iter().map(|r| RunSource::Chunks(r.into_iter()));
+                self.merge_runs(sources.collect(), out)?;
+                return out.flush();
+            }
+            Partials::Unsorted { buffered, resume } => (buffered, resume),
+        };
         let mut table: KeyTable<K, V> = HashMap::default();
         let mut table_bytes = 0u64;
-        for p in partials {
+        for chunk in &buffered {
+            self.fold_chunk(chunk, &mut table, &mut table_bytes)?;
+        }
+        drop(buffered);
+        for p in &mut partials[resume..] {
             while let Some(chunk) = p.next_chunk()? {
                 self.fold_chunk(&chunk, &mut table, &mut table_bytes)?;
             }
@@ -621,7 +752,7 @@ where
         while runs.len() > RUN_FANIN {
             let batch: Vec<BagId> = runs.drain(..RUN_FANIN).collect();
             let mut w = sink.create_run()?;
-            self.merge_runs(&batch, sink, &mut w)?;
+            self.merge_runs(Self::spilled(&batch, sink)?, &mut w)?;
             w.flush()?;
             let merged = w.bag_id();
             for bag in batch {
@@ -632,7 +763,7 @@ where
             stats.rounds += 1;
         }
         let batch: Vec<BagId> = runs.into();
-        self.merge_runs(&batch, sink, out)?;
+        self.merge_runs(Self::spilled(&batch, sink)?, out)?;
         for bag in batch {
             sink.release_run(bag)?;
         }
@@ -1711,5 +1842,122 @@ mod tests {
         assert_eq!(got.len(), VERTICES as usize, "every key exactly once");
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "keys ascending");
         assert_eq!(got, want, "values equal the sequential fold");
+    }
+
+    /// Builds one single-node partial per entry of `parts`, one chunk per
+    /// inner list, so chunks read back in the order listed.
+    fn chunked_partials(
+        cluster: &Arc<StorageCluster>,
+        parts: &[Vec<Vec<(u32, u64)>>],
+    ) -> Vec<BagReader> {
+        parts
+            .iter()
+            .enumerate()
+            .map(|(i, chunks)| {
+                let bag = cluster.create_bag();
+                let mut w = BagWriter::open(cluster.clone(), bag, i as u64, 1 << 16);
+                for recs in chunks {
+                    let mut buf = Vec::new();
+                    for rec in recs {
+                        rec.encode(&mut buf);
+                    }
+                    w.emit_chunk(Chunk::from_vec(buf)).unwrap();
+                }
+                w.flush().unwrap();
+                cluster.seal_bag(bag).unwrap();
+                BagReader::open(cluster.clone(), bag, 100 + i as u64, 4, None)
+            })
+            .collect()
+    }
+
+    /// Merges `parts` under an order-sensitive fold and asserts the
+    /// output equals folding every record sequentially in partial, chunk
+    /// and record order, and that `merge` took the run path iff
+    /// `run_path`.
+    fn assert_sequential_fold(parts: &[Vec<Vec<(u32, u64)>>], run_path: bool) {
+        type Probe = KeyedMerge<u32, u64, OwnedCombine<fn(u64, u64) -> u64>>;
+        let cluster = StorageCluster::new(1, ClusterConfig::default());
+        let took_runs = matches!(
+            Probe::sorted_runs(&mut chunked_partials(&cluster, parts)).unwrap(),
+            Partials::Runs(_)
+        );
+        assert_eq!(took_runs, run_path, "path chosen for {parts:?}");
+
+        let merge = KeyedMerge::<u32, u64, _>::folding(|acc: &mut u64, v: u64| {
+            *acc = acc.wrapping_mul(31).wrapping_add(v)
+        });
+        let out_bag = cluster.create_bag();
+        let mut out = BagWriter::open(cluster.clone(), out_bag, 77, 64);
+        merge
+            .merge(0, &mut chunked_partials(&cluster, parts), &mut out)
+            .unwrap();
+        cluster.seal_bag(out_bag).unwrap();
+        let got: Vec<(u32, u64)> = read_bag(&cluster, out_bag);
+
+        let mut want = std::collections::BTreeMap::new();
+        for &(k, v) in parts.iter().flatten().flatten() {
+            want.entry(k)
+                .and_modify(|acc: &mut u64| *acc = acc.wrapping_mul(31).wrapping_add(v))
+                .or_insert(v);
+        }
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+    }
+
+    /// `(key, value)` records with values distinct per partial and
+    /// position, so any change in fold order shows.
+    fn recs(part: u64, keys: &[u32]) -> Vec<(u32, u64)> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, &k)| (k, part * 1000 + i as u64 + 1))
+            .collect()
+    }
+
+    #[test]
+    fn sorted_chunks_with_overlapping_ranges_fall_back() {
+        assert_sequential_fold(
+            &[
+                vec![recs(0, &[1, 3, 5]), recs(1, &[2, 4, 6])],
+                vec![recs(2, &[1, 2]), recs(3, &[3])],
+            ],
+            false,
+        );
+    }
+
+    #[test]
+    fn key_repeated_across_chunk_boundary_falls_back() {
+        assert_sequential_fold(
+            &[
+                vec![recs(0, &[4, 5, 6]), recs(1, &[1, 2, 3])],
+                vec![recs(2, &[1, 2, 3]), recs(3, &[3, 4, 5])],
+                vec![recs(4, &[2, 6])],
+            ],
+            false,
+        );
+    }
+
+    #[test]
+    fn sorted_then_unsorted_partial_falls_back_mid_stream() {
+        let sorted = vec![recs(0, &[10, 11, 12]), recs(1, &[0, 1, 2])];
+        let unsorted = vec![recs(2, &[1, 2]), recs(3, &[11, 3, 10]), recs(4, &[0, 12])];
+        assert_sequential_fold(&[sorted.clone(), unsorted.clone()], false);
+        assert_sequential_fold(&[unsorted, sorted], false);
+    }
+
+    #[test]
+    fn empty_partials_keep_the_run_path() {
+        let sorted = vec![recs(0, &[5, 6]), recs(1, &[1, 2])];
+        assert_sequential_fold(&[vec![], sorted.clone(), vec![]], true);
+        assert_sequential_fold(&[vec![], vec![]], true);
+        assert_sequential_fold(&[vec![], vec![recs(2, &[2, 1])], vec![]], false);
+    }
+
+    #[test]
+    fn single_record_chunks() {
+        let shuffled = vec![recs(0, &[3]), recs(1, &[1]), recs(2, &[2])];
+        assert_sequential_fold(
+            &[shuffled.clone(), vec![recs(3, &[2]), recs(4, &[0])]],
+            true,
+        );
+        assert_sequential_fold(&[shuffled, vec![recs(5, &[2]), recs(6, &[2])]], false);
     }
 }
