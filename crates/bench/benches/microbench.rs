@@ -1,10 +1,9 @@
 //! Criterion microbenchmarks of the substrates: serialization, bag
-//! operations, placement, workload generation — and the contended
-//! storage-node benchmarks comparing the sharded hot path against the
-//! pre-shard coarse-lock baseline (`hurricane_bench::coarse`).
+//! operations, placement, workload generation, the contended storage
+//! data plane over the inline and channel RPC planes, and the compute
+//! and merge hot paths.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use hurricane_bench::coarse::{CoarseClient, CoarseCluster};
 use hurricane_common::DetRng;
 use hurricane_format::{decode_all, encode_all};
 use hurricane_storage::bag::{BagClient, BatchRemoveResult, RemoveResult};
@@ -784,8 +783,7 @@ const BATCH: usize = 64;
 const COALESCE_WINDOW: usize = 8 * BATCH;
 
 /// One shared template payload: per-op "data" is a refcount clone, so the
-/// measurement isolates storage-path cost rather than allocator cost
-/// (identically for the coarse baseline and the sharded path).
+/// measurement isolates storage-path cost rather than allocator cost.
 fn contended_chunk() -> hurricane_format::Chunk {
     thread_local! {
         static TEMPLATE: hurricane_format::Chunk =
@@ -805,10 +803,9 @@ fn run_clients(clients: usize, per_client: impl Fn(u64) + Sync) {
 }
 
 /// Contended insert/remove: N clients hammer ONE bag on 8 nodes — the
-/// traffic pattern task cloning creates. `sharded/*` uses the live
-/// implementation (single-op and batched); `coarse/*` uses the pre-shard
-/// node-global-mutex baseline. The acceptance target is sharded ≥ 2× the
-/// coarse baseline at 8 clients.
+/// traffic pattern task cloning creates. `*/sharded` is the single-op
+/// `BagClient` path; `*/rpc_inline*` the batched inline plane (with and
+/// without insert coalescing); `*/rpc_batch` the batched channel plane.
 fn bench_contended(c: &mut Criterion) {
     for &clients in &[1usize, 4, 8] {
         let total_ops = clients as u64 * OPS_PER_CLIENT;
@@ -816,21 +813,6 @@ fn bench_contended(c: &mut Criterion) {
         g.throughput(Throughput::Elements(total_ops));
         g.sample_size(10);
 
-        g.bench_function("insert/coarse", |b| {
-            b.iter_batched(
-                || CoarseCluster::new(CONTENDED_NODES, 1),
-                |cluster| {
-                    let bag = cluster.create_bag();
-                    run_clients(clients, |t| {
-                        let mut cl = CoarseClient::new(cluster.clone(), bag, 7 + t);
-                        for _ in 0..OPS_PER_CLIENT {
-                            cl.insert(contended_chunk()).unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
         g.bench_function("insert/sharded", |b| {
             b.iter_batched(
                 || StorageCluster::new(CONTENDED_NODES, ClusterConfig::default()),
@@ -840,23 +822,6 @@ fn bench_contended(c: &mut Criterion) {
                         let mut cl = BagClient::new(cluster.clone(), bag, 7 + t);
                         for _ in 0..OPS_PER_CLIENT {
                             cl.insert(contended_chunk()).unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        g.bench_function("insert/sharded_batch", |b| {
-            b.iter_batched(
-                || StorageCluster::new(CONTENDED_NODES, ClusterConfig::default()),
-                |cluster| {
-                    let bag = cluster.create_bag();
-                    run_clients(clients, |t| {
-                        let mut cl = BagClient::new(cluster.clone(), bag, 7 + t);
-                        let chunks: Vec<_> =
-                            (0..OPS_PER_CLIENT).map(|_| contended_chunk()).collect();
-                        for batch in chunks.chunks(BATCH) {
-                            cl.insert_batch(batch).unwrap();
                         }
                     });
                 },
@@ -928,29 +893,6 @@ fn bench_contended(c: &mut Criterion) {
             )
         });
 
-        g.bench_function("remove/coarse", |b| {
-            b.iter_batched(
-                || {
-                    let cluster = CoarseCluster::new(CONTENDED_NODES, 1);
-                    let bag = cluster.create_bag();
-                    let mut cl = CoarseClient::new(cluster.clone(), bag, 3);
-                    for _ in 0..total_ops {
-                        cl.insert(contended_chunk()).unwrap();
-                    }
-                    cluster.seal_bag(bag).unwrap();
-                    (cluster, bag)
-                },
-                |(cluster, bag)| {
-                    run_clients(clients, |t| {
-                        let mut cl = CoarseClient::new(cluster.clone(), bag, 11 + t);
-                        for _ in 0..OPS_PER_CLIENT {
-                            let _ = cl.try_remove().unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
         g.bench_function("remove/sharded", |b| {
             b.iter_batched(
                 || {
@@ -967,32 +909,6 @@ fn bench_contended(c: &mut Criterion) {
                         let mut cl = BagClient::new(cluster.clone(), bag, 11 + t);
                         for _ in 0..OPS_PER_CLIENT {
                             let _ = cl.try_remove().unwrap();
-                        }
-                    });
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        g.bench_function("remove/sharded_batch", |b| {
-            b.iter_batched(
-                || {
-                    let cluster = StorageCluster::new(CONTENDED_NODES, ClusterConfig::default());
-                    let bag = cluster.create_bag();
-                    let mut cl = BagClient::new(cluster.clone(), bag, 3);
-                    let chunks: Vec<_> = (0..total_ops).map(|_| contended_chunk()).collect();
-                    cl.insert_batch(&chunks).unwrap();
-                    cluster.seal_bag(bag).unwrap();
-                    (cluster, bag)
-                },
-                |(cluster, bag)| {
-                    run_clients(clients, |t| {
-                        let mut cl = BagClient::new(cluster.clone(), bag, 11 + t);
-                        let mut left = OPS_PER_CLIENT as usize;
-                        while left > 0 {
-                            match cl.try_remove_batch(left.min(BATCH)).unwrap() {
-                                BatchRemoveResult::Chunks(chunks) => left -= chunks.len(),
-                                _ => break,
-                            }
                         }
                     });
                 },
@@ -1057,15 +973,15 @@ fn bench_contended(c: &mut Criterion) {
     }
 }
 
-/// The consumer-side prefetcher draining one bag: the synchronous
-/// one-probe-at-a-time loop over the direct port vs the RPC pipeline
-/// keeping `b = 10` requests in flight against distinct nodes.
+/// The consumer-side prefetcher draining one bag with `b = 10`: over the
+/// inline plane (each request executes as it is sent) and over channel
+/// servers (requests genuinely in flight against distinct nodes).
 fn bench_prefetch(c: &mut Criterion) {
     const CHUNKS: u64 = 8_000;
     let mut g = c.benchmark_group("prefetch_8n");
     g.throughput(Throughput::Elements(CHUNKS));
     g.sample_size(10);
-    g.bench_function("direct", |b| {
+    g.bench_function("inline", |b| {
         b.iter_batched(
             || {
                 let cluster = StorageCluster::new(CONTENDED_NODES, ClusterConfig::default());
@@ -1148,27 +1064,11 @@ fn bench_flow_control(c: &mut Criterion) {
 }
 
 /// `BagSample` polling: the master samples input bags every heuristic
-/// tick. Sharded sampling is O(1) per node (running counters); the
-/// pre-shard baseline re-scans the unread suffix of a 10k-chunk bag.
+/// tick. Sampling is O(1) per node (running counters), whatever the
+/// bag's size.
 fn bench_sample(c: &mut Criterion) {
     const CHUNKS: u64 = 10_000;
     let mut g = c.benchmark_group("sample_10k_chunks_8n");
-
-    let coarse = CoarseCluster::new(CONTENDED_NODES, 1);
-    let coarse_bag = coarse.create_bag();
-    {
-        let mut cl = CoarseClient::new(coarse.clone(), coarse_bag, 5);
-        for _ in 0..CHUNKS {
-            cl.insert(contended_chunk()).unwrap();
-        }
-        // Half-consumed: the scan covers the remaining half.
-        for _ in 0..CHUNKS / 2 {
-            let _ = cl.try_remove().unwrap();
-        }
-    }
-    g.bench_function("coarse_scan", |b| {
-        b.iter(|| coarse.sample_bag(coarse_bag).unwrap())
-    });
 
     let sharded = StorageCluster::new(CONTENDED_NODES, ClusterConfig::default());
     let sharded_bag = sharded.create_bag();

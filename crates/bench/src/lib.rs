@@ -24,6 +24,5 @@
 //! | `ablation_clone_interval` | extension — clone-interval sensitivity |
 //! | `real_engine` | laptop-scale: real runtime vs real static engine |
 
-pub mod coarse;
 pub mod experiments;
 pub mod output;

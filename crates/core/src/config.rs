@@ -10,6 +10,12 @@ use std::time::Duration;
 /// and examples exercise the same code paths in milliseconds. The
 /// benchmark harness overrides these to paper values where an experiment
 /// depends on them.
+///
+/// A run reaches storage over the inline RPC plane
+/// (`hurricane_storage::StorageEndpoint::inline`), which has no knobs
+/// here: it answers each request as it is sent, so request timeouts,
+/// retries and writer credit could never take effect. Task-output
+/// writers coalesce inserts over two write batches.
 #[derive(Debug, Clone)]
 pub struct HurricaneConfig {
     /// Number of compute nodes (task managers) to run.
@@ -38,43 +44,6 @@ pub struct HurricaneConfig {
     pub cloning_enabled: bool,
     /// Master poll period for the done bag / control messages.
     pub master_poll: Duration,
-    /// Route the data plane through the storage RPC boundary
-    /// (request/response messages to per-node server loops) instead of
-    /// direct in-process calls. Turns the prefetcher into a true pipeline
-    /// of `batch_factor` outstanding requests and lets writers overlap
-    /// replica acks; the direct path remains the default for tests and
-    /// benches of the storage substrate itself.
-    pub storage_rpc: bool,
-    /// Dispatch threads per storage-node RPC server (only used when
-    /// `storage_rpc` is on).
-    pub rpc_dispatch_threads: usize,
-    /// Insert-coalescing window (chunks) for RPC-connected task writers:
-    /// buckets from successive batch flushes stage on the port and go out
-    /// as one merged envelope per (node, bag) once this many chunks are
-    /// staged. `0` disables coalescing (every batch call flushes). A
-    /// nonzero window below two write batches cannot merge anything, so
-    /// the engine clamps the effective window to `2 * batch_factor` (see
-    /// [`HurricaneConfig::effective_coalesce_window`]). Only task-output
-    /// writers coalesce — work-bag scheduling traffic stays
-    /// call-synchronous so claims are immediately visible.
-    pub rpc_coalesce_chunks: usize,
-    /// Per-connection writer credit when `storage_rpc` is on: how many
-    /// requests may be on the wire unanswered before a writer blocks
-    /// (flow control; a stalled storage node bounds its lane at this many
-    /// envelopes instead of accumulating unbounded queue).
-    pub rpc_writer_credit: usize,
-    /// Client-side RPC request timeout: how long a caller waits for one
-    /// reply before abandoning the request (its outcome then unknown).
-    /// The per-connection credit-acquire timeout is aligned with this
-    /// automatically when ports are minted, so flow control never fails
-    /// faster than a request wait would.
-    pub rpc_request_timeout: Duration,
-    /// Total attempts per RPC request when `storage_rpc` is on: `1`
-    /// (the default) fails fast on timeout; higher values retransmit a
-    /// timed-out request under its original sequence number, which the
-    /// server-side dedup window resolves to at most one execution (see
-    /// `hurricane_storage::rpc::RetryPolicy`).
-    pub rpc_retry_attempts: u32,
     /// Root directory for durable segment logs (`SEGMENT.md`). `None`
     /// (the default) keeps storage nodes purely in-memory; when set,
     /// every storage node journals its bag contents into
@@ -118,16 +87,6 @@ impl Default for HurricaneConfig {
             min_remaining_chunks_to_clone: 4,
             cloning_enabled: true,
             master_poll: Duration::from_millis(2),
-            storage_rpc: false,
-            rpc_dispatch_threads: 2,
-            // Nonzero = coalescing on; the effective window is clamped
-            // to at least two write batches whatever batch_factor is
-            // (see effective_coalesce_window), so this default tracks
-            // batch_factor rather than duplicating its value.
-            rpc_coalesce_chunks: 1,
-            rpc_writer_credit: hurricane_storage::rpc::DEFAULT_WRITER_CREDIT,
-            rpc_request_timeout: hurricane_storage::rpc::DEFAULT_REQUEST_TIMEOUT,
-            rpc_retry_attempts: 1,
             data_dir: None,
             spill_threshold_bytes: u64::MAX,
             merge_memory_budget: u64::MAX,
@@ -150,13 +109,6 @@ impl HurricaneConfig {
     /// Returns a copy with cloning disabled (HurricaneNC, paper §5.2).
     pub fn without_cloning(mut self) -> Self {
         self.cloning_enabled = false;
-        self
-    }
-
-    /// Returns a copy with the data plane routed over the storage RPC
-    /// boundary.
-    pub fn with_storage_rpc(mut self) -> Self {
-        self.storage_rpc = true;
         self
     }
 
@@ -208,18 +160,6 @@ impl HurricaneConfig {
             spill_threshold_bytes: self.spill_threshold_bytes,
         }))
     }
-
-    /// The insert-coalescing window task writers actually use: `0` when
-    /// coalescing is disabled, otherwise at least two write batches — a
-    /// smaller window could never merge across batches, silently
-    /// degenerating to the eager path when `batch_factor` is raised.
-    pub fn effective_coalesce_window(&self) -> usize {
-        if self.rpc_coalesce_chunks == 0 {
-            0
-        } else {
-            self.rpc_coalesce_chunks.max(2 * self.batch_factor)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,11 +174,7 @@ mod tests {
         assert!(c.chunk_size > 0);
         assert_eq!(c.instance_cap(), c.compute_nodes);
         assert!(c.cloning_enabled);
-        assert_eq!(
-            c.rpc_request_timeout,
-            hurricane_storage::rpc::DEFAULT_REQUEST_TIMEOUT
-        );
-        assert_eq!(c.rpc_retry_attempts, 1);
+        assert!(c.batch_factor > 0);
     }
 
     #[test]

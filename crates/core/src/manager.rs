@@ -115,6 +115,13 @@ impl SeedGen {
     }
 }
 
+/// Task-output writers coalesce their inserts over this many write
+/// batches (of `batch_factor` chunks each) before an envelope per
+/// (node, bag) goes out. A window below two batches could never merge
+/// across batches; work-bag scheduling traffic does not coalesce, so
+/// claims stay immediately visible.
+const COALESCE_WRITE_BATCHES: usize = 2;
+
 /// Everything a task manager needs, shared across nodes.
 #[derive(Clone)]
 pub struct ManagerDeps {
@@ -122,9 +129,8 @@ pub struct ManagerDeps {
     pub graph: Arc<AppGraph>,
     /// The storage cluster.
     pub cluster: Arc<StorageCluster>,
-    /// The storage endpoint bag clients are minted from: the channel RPC
-    /// plane when the deployment routes the data plane through messages
-    /// (`HurricaneConfig::storage_rpc`), the direct plane otherwise.
+    /// The storage endpoint bag clients are minted from (the inline RPC
+    /// plane in a [`crate::HurricaneApp`] run).
     pub endpoint: Arc<StorageEndpoint>,
     /// Runtime configuration.
     pub config: Arc<HurricaneConfig>,
@@ -178,20 +184,20 @@ impl ComputeNodeHandle {
 }
 
 impl ManagerDeps {
-    /// Opens a bag client for `bag` over the deployment's storage path:
-    /// RPC messages when the boundary is enabled, direct calls otherwise.
-    /// The endpoint carries the knobs (writer credit, timeout, retry).
+    /// Opens a bag client for `bag` over the deployment's storage
+    /// endpoint.
     pub(crate) fn bag_client(&self, bag: BagId) -> BagClient {
         self.endpoint.client(bag, self.seeds.next())
     }
 
     /// A bag client for a task-output writer: like
-    /// [`ManagerDeps::bag_client`], plus the configured insert-coalescing
-    /// window. Writers flush at task boundaries ([`BagWriter::flush`]
-    /// drains the port), so deferred completion never leaks past a task.
+    /// [`ManagerDeps::bag_client`], plus an insert-coalescing window of
+    /// [`COALESCE_WRITE_BATCHES`] write batches. Writers flush at task
+    /// boundaries ([`BagWriter::flush`] drains the port), so deferred
+    /// completion never leaks past a task.
     pub(crate) fn writer_client(&self, bag: BagId) -> BagClient {
         self.bag_client(bag)
-            .with_coalescing(self.config.effective_coalesce_window())
+            .with_coalescing(COALESCE_WRITE_BATCHES * self.config.batch_factor)
     }
 
     /// Opens a typed work bag over the deployment's storage path.

@@ -63,8 +63,8 @@ pub struct MasterDeps {
     pub graph: Arc<AppGraph>,
     /// The storage cluster.
     pub cluster: Arc<StorageCluster>,
-    /// The storage endpoint bag clients are minted from (channel RPC
-    /// plane or direct, per `HurricaneConfig::storage_rpc`).
+    /// The storage endpoint bag clients are minted from (the inline RPC
+    /// plane in a [`crate::HurricaneApp`] run).
     pub endpoint: Arc<StorageEndpoint>,
     /// Runtime configuration.
     pub config: Arc<HurricaneConfig>,
@@ -110,8 +110,7 @@ pub struct Master {
 }
 
 impl MasterDeps {
-    /// Opens a typed work bag over the deployment's storage path (RPC
-    /// messages when the boundary is enabled, direct calls otherwise).
+    /// Opens a typed work bag over the deployment's storage endpoint.
     fn workbag<T: hurricane_format::Record>(&self, bag: BagId) -> WorkBag<T> {
         WorkBag::with_client(self.endpoint.client(bag, self.seeds.next()))
     }

@@ -170,10 +170,9 @@ impl BagReader {
         Self::open_client(BagClient::new(cluster, bag, seed), batch_factor, cancel)
     }
 
-    /// Opens a reader over an existing bag client. With a client minted
-    /// over the RPC boundary (`StorageEndpoint::client`), the prefetcher
-    /// keeps `batch_factor` requests genuinely in flight against distinct
-    /// storage nodes.
+    /// Opens a reader over an existing bag client. The prefetcher keeps
+    /// up to `batch_factor` requests in flight against distinct storage
+    /// nodes — genuinely concurrent on the channel and TCP planes.
     pub fn open_client(
         client: BagClient,
         batch_factor: usize,

@@ -101,22 +101,6 @@ fn cloning_kicks_in_on_long_tasks() {
 }
 
 #[test]
-fn sum_with_merge_is_exact_over_storage_rpc() {
-    // The same pipeline with the data plane routed through the storage
-    // RPC boundary: workers' readers become pipelines of b outstanding
-    // requests and writers flush through per-node server loops. The
-    // result must be bit-identical to the direct path.
-    let cluster = StorageCluster::new(4, ClusterConfig::default());
-    let (mut app, input, summed) = sum_pipeline(cluster, test_config().with_storage_rpc(), 0);
-    let n = 10_000u64;
-    app.fill_source(input, 0..n).unwrap();
-    let report = app.run().unwrap();
-    let out: Vec<u64> = app.read_records(summed).unwrap();
-    assert_eq!(out, vec![n * (n - 1) / 2]);
-    assert!(report.merges_run >= 1);
-}
-
-#[test]
 fn durable_spilling_storage_completes_a_full_run() {
     // The whole pipeline on disk-backed storage nodes (`SEGMENT.md`)
     // with a resident budget far below the data volume: the job must
@@ -181,22 +165,6 @@ fn durable_spilling_storage_completes_a_full_run() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn rpc_run_survives_compute_node_failure() {
-    // Fault recovery (cancel, rewind, restart at a bumped generation)
-    // exercised end to end with every bag access flowing over RPC.
-    let cluster = StorageCluster::new(4, ClusterConfig::default());
-    let (app, input, summed) = sum_pipeline(cluster, test_config().with_storage_rpc(), 200);
-    let n = 15_000u64;
-    app.fill_source(input, 0..n).unwrap();
-    let running = app.start().unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    running.kill_compute_node(1);
-    running.wait().unwrap();
-    let out: Vec<u64> = app.read_records(summed).unwrap();
-    assert_eq!(out, vec![n * (n - 1) / 2]);
 }
 
 #[test]

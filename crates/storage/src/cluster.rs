@@ -2,12 +2,18 @@
 //!
 //! The cluster object is what compute nodes are configured with (paper §3:
 //! "each compute node ... is configured so that it knows the list of
-//! storage nodes"). It owns bag metadata — the authoritative sealed flag —
-//! and implements primary–backup replication (paper §4.4): with a
+//! storage nodes"). It owns the metadata authority — the node set, the
+//! authoritative sealed flag, the per-(bag, origin) append-ordering locks
+//! — and defines primary–backup replication (paper §4.4): with a
 //! replication factor of `n + 1`, each chunk written to primary node `i`
 //! is also written to the next `n` nodes in ring order, and removes mirror
 //! the primary's pointer advance onto the backups so a failover resumes
 //! from (approximately) the primary's position.
+//!
+//! The replica fan-out, failover and mirroring live in one place, the
+//! RPC port ([`crate::rpc::RpcPort`]); the cluster's own data-plane
+//! methods ([`StorageCluster::insert_batch`],
+//! [`StorageCluster::remove_batch`]) delegate to an inline port.
 //!
 //! A design note on failover atomicity: mirroring the pointer to backups is
 //! a second message, not a distributed transaction. If the primary dies
@@ -27,7 +33,8 @@
 //! simulator used to document as modeled-away).
 
 use crate::error::StorageError;
-use crate::node::{next_run_id, BagSample, NodeRemove, NodeRemoveBatch, StorageNode};
+use crate::node::{BagSample, NodeRemove, NodeRemoveBatch, StorageNode};
+use crate::rpc::RpcPort;
 use crate::segment::SegmentStore;
 use hurricane_common::{BagId, StorageNodeId};
 use hurricane_format::Chunk;
@@ -75,7 +82,7 @@ struct BagMeta {
 }
 
 /// Append-ordering locks keyed by (bag, origin); see
-/// [`StorageCluster::insert_batch`].
+/// [`StorageCluster::order_lock`].
 type OrderLocks = HashMap<(BagId, u32), Arc<parking_lot::Mutex<()>>>;
 
 /// The set of storage nodes plus bag metadata.
@@ -319,18 +326,15 @@ impl StorageCluster {
         Ok(agg)
     }
 
-    /// Replica node indices for a chunk whose primary is `primary`.
-    fn replicas(&self, primary: usize, m: usize) -> impl DoubleEndedIterator<Item = usize> {
-        let r = self.config.replication;
-        (0..r).map(move |k| (primary + k) % m)
-    }
-
     /// Inserts `chunk` into `bag` at primary node `primary_idx`, writing
-    /// backups per the replication factor.
-    ///
-    /// Succeeds if the write lands on at least one replica; a fully
-    /// unreachable replica set is an error.
-    pub fn insert(&self, primary_idx: usize, bag: BagId, chunk: Chunk) -> Result<(), StorageError> {
+    /// backups per the replication factor. See
+    /// [`StorageCluster::insert_batch`].
+    pub fn insert(
+        self: &Arc<Self>,
+        primary_idx: usize,
+        bag: BagId,
+        chunk: Chunk,
+    ) -> Result<(), StorageError> {
         self.insert_batch(primary_idx, bag, std::slice::from_ref(&chunk))
     }
 
@@ -347,185 +351,40 @@ impl StorageCluster {
             .clone()
     }
 
-    /// Batched [`StorageCluster::insert`]: writes every chunk of `chunks`
-    /// to primary `primary_idx` with one storage-node call per replica —
-    /// replication is mirrored per batch, not per chunk. The whole batch
-    /// is one insert run sharing one [`next_run_id`] across replicas, so
-    /// pointer mirrors can name its chunks by identity.
-    ///
-    /// Replicated writes take two precautions:
-    ///
-    /// * **Backups before primary.** A chunk only becomes removable once
-    ///   it lands at the primary; writing backups first means any remove
-    ///   that wins the race finds the chunk already present at every
-    ///   backup, so a failover after the primary's death can always
-    ///   serve what the primary served from its own log.
-    /// * **Per-(bag, origin) append ordering.** Concurrent writers to the
-    ///   same primary serialize their replica fan-out on a tiny ordering
-    ///   lock so every replica's origin stream holds the runs in the
-    ///   same order. Identity-tagged mirroring no longer *requires* this
-    ///   for correctness, but converged logs keep the mirror scan O(batch)
-    ///   and failover positions exact. With replication = 1 neither cost
-    ///   is paid.
+    /// Writes every chunk of `chunks` to primary `primary_idx` and its
+    /// backups as one insert run, through an inline [`RpcPort`]
+    /// ([`RpcPort::insert_batch`]: backups first, one node call per
+    /// replica). Succeeds if the run lands on at least one replica.
     pub fn insert_batch(
-        &self,
+        self: &Arc<Self>,
         primary_idx: usize,
         bag: BagId,
         chunks: &[Chunk],
     ) -> Result<(), StorageError> {
-        if self.bag_state(bag)? {
-            return Err(StorageError::BagSealed(bag));
-        }
-        if chunks.is_empty() {
-            return Ok(());
-        }
-        let nodes = self.nodes.read();
-        let m = nodes.len();
-        let origin = (primary_idx % m) as u32;
-        let run = next_run_id();
-        if self.config.replication > 1 {
-            let lock = self.order_lock(bag, origin);
-            let _held = lock.lock();
-            Self::insert_batch_inner(
-                &nodes,
-                self.replicas(primary_idx, m),
-                bag,
-                chunks,
-                origin,
-                run,
-            )
-        } else {
-            Self::insert_batch_inner(
-                &nodes,
-                self.replicas(primary_idx, m),
-                bag,
-                chunks,
-                origin,
-                run,
-            )
-        }
+        RpcPort::inline(self.clone()).insert_batch(primary_idx, bag, chunks)
     }
 
-    fn insert_batch_inner(
-        nodes: &[Arc<StorageNode>],
-        replicas: impl DoubleEndedIterator<Item = usize>,
+    /// Removes the next chunk of `bag` whose primary is `primary_idx`,
+    /// failing over to a backup when the primary is unreachable. See
+    /// [`StorageCluster::remove_batch`].
+    pub fn remove(
+        self: &Arc<Self>,
+        primary_idx: usize,
         bag: BagId,
-        chunks: &[Chunk],
-        origin: u32,
-        run: u64,
-    ) -> Result<(), StorageError> {
-        let mut landed = 0usize;
-        let mut last_err = None;
-        // Reverse order: backups first, primary last (see insert_batch).
-        for idx in replicas.rev() {
-            match nodes[idx].insert_run(bag, chunks, origin, run) {
-                Ok(()) => landed += 1,
-                // Down, draining, or disk-sick replicas are routed around:
-                // the write still succeeds if any replica journals it
-                // (see [`StorageError::routes_around`]).
-                Err(e) if e.routes_around() => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if landed > 0 {
-            Ok(())
-        } else {
-            Err(last_err.unwrap_or(StorageError::AllReplicasDown(bag)))
-        }
+    ) -> Result<NodeRemove, StorageError> {
+        RpcPort::inline(self.clone()).remove(primary_idx, bag)
     }
 
-    /// Removes the next chunk of `bag` whose primary is `primary_idx`.
-    ///
-    /// On primary failure the first reachable backup serves the request
-    /// (failover); successful removes are mirrored to the remaining live
-    /// replicas so their pointers track the serving node.
-    pub fn remove(&self, primary_idx: usize, bag: BagId) -> Result<NodeRemove, StorageError> {
-        // Single-chunk removes ride the batch path so the mirror carries
-        // the served chunk's identity tag.
-        let batch = self.remove_batch(primary_idx, bag, 1)?;
-        Ok(match batch.chunks.into_iter().next() {
-            Some(c) => NodeRemove::Chunk(c),
-            None if batch.eof => NodeRemove::Eof,
-            None => NodeRemove::Empty,
-        })
-    }
-
-    /// Batched [`StorageCluster::remove`]: removes up to `max_n` chunks
-    /// whose primary is `primary_idx` in one storage-node call, mirroring
-    /// the whole batch's pointer advance to the live backups at once.
+    /// Removes up to `max_n` chunks whose primary is `primary_idx`
+    /// through an inline [`RpcPort`] ([`RpcPort::remove_batch`]: replica
+    /// failover, pointer mirroring, sealed flag as end-of-bag authority).
     pub fn remove_batch(
-        &self,
+        self: &Arc<Self>,
         primary_idx: usize,
         bag: BagId,
         max_n: usize,
     ) -> Result<NodeRemoveBatch, StorageError> {
-        let sealed = self.bag_state(bag)?;
-        let nodes = self.nodes.read();
-        let m = nodes.len();
-        let origin = (primary_idx % m) as u32;
-        let mut serving = None;
-        let mut first_empty: Option<NodeRemoveBatch> = None;
-        let mut probed_empty: Vec<usize> = Vec::new();
-        for idx in self.replicas(primary_idx, m) {
-            match nodes[idx].remove_from_batch(bag, origin, max_n) {
-                // An empty serve is not authoritative: replica logs can
-                // diverge — this replica restarted and recovered a log
-                // missing runs that landed only at a backup while it was
-                // down. Keep probing; the group is exhausted only when
-                // every reachable replica comes back empty, otherwise
-                // acked chunks marooned at a backup would be masked by
-                // a premature end-of-bag.
-                Ok(outcome) if outcome.chunks.is_empty() => {
-                    probed_empty.push(idx);
-                    if first_empty.is_none() {
-                        first_empty = Some(outcome);
-                    }
-                }
-                Ok(outcome) => {
-                    serving = Some((idx, outcome));
-                    break;
-                }
-                // A replica that can't serve (down, or its segment log
-                // can't journal the consume) fails over to the next one.
-                Err(e) if e.routes_around() => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let Some((served_by, mut outcome)) = serving else {
-            let Some(mut outcome) = first_empty else {
-                return Err(StorageError::AllReplicasDown(bag));
-            };
-            outcome.eof = outcome.exhausted && sealed;
-            return Ok(outcome);
-        };
-        // Reconcile a fallback serve: a replica probed empty above may
-        // have concurrently served the very same chunks to another
-        // reader whose mirror hadn't landed at `served_by` yet. Claim
-        // the served identities at each such replica and drop whatever
-        // it reports already consumed — those chunks belong to the
-        // other reader. An unreachable replica claims nothing (its
-        // consumed state can't race anyone while it's down).
-        for &idx in &probed_empty {
-            if outcome.chunks.is_empty() {
-                break;
-            }
-            if let Ok(already) = nodes[idx].claim_consumed(bag, origin, &outcome.tags) {
-                outcome.drop_already_consumed(&already);
-            }
-        }
-        if !outcome.chunks.is_empty() {
-            for idx in self.replicas(primary_idx, m) {
-                // Replicas probed empty were just claimed — the claim
-                // is the mirror.
-                if idx != served_by && !probed_empty.contains(&idx) {
-                    let _ = nodes[idx].mirror_consumed(bag, origin, &outcome.tags);
-                }
-            }
-        }
-        // As in `remove`, the cluster-level sealed flag is the authority
-        // for end-of-bag.
-        outcome.eof = outcome.exhausted && sealed;
-        Ok(outcome)
+        RpcPort::inline(self.clone()).remove_batch(primary_idx, bag, max_n)
     }
 
     /// Non-destructive full scan of `bag` (replay of work bags). With
@@ -579,12 +438,13 @@ impl StorageCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::next_run_id;
 
     fn chunk(b: &[u8]) -> Chunk {
         Chunk::from_vec(b.to_vec())
     }
 
-    fn drain_all(cluster: &StorageCluster, bag: BagId) -> Vec<Chunk> {
+    fn drain_all(cluster: &Arc<StorageCluster>, bag: BagId) -> Vec<Chunk> {
         let m = cluster.num_nodes();
         let mut out = Vec::new();
         for idx in 0..m {

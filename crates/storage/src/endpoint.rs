@@ -1,22 +1,20 @@
 //! One unified way to reach storage: the [`StorageEndpoint`] builder.
 //!
-//! Hurricane grew four ways to open a [`BagClient`] — direct cluster
-//! calls, inline RPC dispatch, channel servers, and hand-built ports —
-//! each with its own constructor and its own knob plumbing. A
-//! `StorageEndpoint` replaces all of them: pick a *plane*, set the
-//! shared knobs once, and mint as many clients and ports as needed.
+//! Every plane speaks the same RPC message protocol through an
+//! [`RpcPort`]; a `StorageEndpoint` picks the *plane* that carries the
+//! messages, holds the shared knobs, and mints as many clients and ports
+//! as needed.
 //!
 //! | constructor | data path | use |
 //! |---|---|---|
-//! | [`StorageEndpoint::direct`] | in-process method calls | tests, benches, single-process runs |
-//! | [`StorageEndpoint::inline`] | RPC messages, same-thread dispatch | protocol testing without thread hops |
+//! | [`StorageEndpoint::inline`] | RPC messages, same-thread dispatch | the engine, tests, benches: colocated compute and storage |
 //! | [`StorageEndpoint::channel`] | RPC over in-process channel servers | multi-threaded single-process runs |
 //! | [`StorageEndpoint::tcp`] | RPC over sockets to `hurricane-node` processes | real clusters |
 //! | [`StorageEndpoint::custom`] | RPC over caller-supplied connectors | fault simulation, harnesses |
 //!
-//! Every non-direct plane is membership-backed: clients and prefetchers
-//! observe [`Membership`] epoch bumps and extend themselves to nodes
-//! that join mid-job (`tcp` via [`JoinServer`], `channel` via
+//! Clients and prefetchers extend themselves to nodes that join mid-job:
+//! the inline plane reads the live cluster, the others observe
+//! [`Membership`] epoch bumps (`tcp` via [`JoinServer`], `channel` via
 //! [`StorageEndpoint::sync`] after [`StorageCluster::add_node`]).
 //!
 //! Knobs are consuming builder methods; set them before sharing the
@@ -36,7 +34,7 @@
 //! endpoint.shutdown();
 //! ```
 
-use crate::bag::{BagClient, StoragePort};
+use crate::bag::BagClient;
 use crate::cluster::{ClusterConfig, StorageCluster};
 use crate::membership::Membership;
 use crate::rpc::{
@@ -52,8 +50,6 @@ use std::time::Duration;
 
 /// Which data plane an endpoint reaches storage over.
 enum Plane {
-    /// Direct in-process method calls on the cluster.
-    Direct(Arc<StorageCluster>),
     /// RPC envelopes dispatched inline on the caller's thread.
     Inline(Arc<StorageCluster>),
     /// RPC over in-process channel servers; the [`StorageRpc`] is built
@@ -92,11 +88,6 @@ impl StorageEndpoint {
             coalesce_chunks: 0,
             dispatch_threads: DEFAULT_DISPATCH_THREADS,
         }
-    }
-
-    /// Direct in-process calls on `cluster` — no RPC boundary.
-    pub fn direct(cluster: Arc<StorageCluster>) -> Self {
-        Self::with_plane(Plane::Direct(cluster))
     }
 
     /// The RPC message protocol with inline dispatch: envelopes are
@@ -205,17 +196,17 @@ impl StorageEndpoint {
     /// The cluster holding this endpoint's metadata authority.
     pub fn cluster(&self) -> &Arc<StorageCluster> {
         match &self.plane {
-            Plane::Direct(c) | Plane::Inline(c) => c,
+            Plane::Inline(c) => c,
             Plane::Channel { cluster, .. } | Plane::Mesh { cluster, .. } => cluster,
         }
     }
 
     /// The live membership view, if this plane has one (`channel`,
-    /// `tcp`, `custom`). Direct and inline planes read the cluster
-    /// itself and need no membership.
+    /// `tcp`, `custom`). The inline plane reads the cluster itself and
+    /// needs no membership.
     pub fn membership(&self) -> Option<Membership> {
         match &self.plane {
-            Plane::Direct(_) | Plane::Inline(_) => None,
+            Plane::Inline(_) => None,
             Plane::Channel { .. } => Some(self.channel_rpc().membership().clone()),
             Plane::Mesh { membership, .. } => Some(membership.clone()),
         }
@@ -238,11 +229,9 @@ impl StorageEndpoint {
             .clone()
     }
 
-    /// Opens a fresh data-plane port, or `None` on the direct plane
-    /// (which has no RPC port by construction).
-    pub fn port(&self) -> Option<RpcPort> {
+    /// Opens a fresh data-plane port.
+    pub fn port(&self) -> RpcPort {
         let mut port = match &self.plane {
-            Plane::Direct(_) => return None,
             Plane::Inline(cluster) => RpcPort::inline(cluster.clone()),
             Plane::Channel { .. } => self.channel_rpc().port(),
             Plane::Mesh {
@@ -255,17 +244,13 @@ impl StorageEndpoint {
         if let Some(credit) = self.writer_credit {
             port.set_writer_credit(credit);
         }
-        Some(port)
+        port
     }
 
     /// Opens a bag client for `bag`. Give each client a distinct `seed`
     /// so placement cycles decorrelate across workers.
     pub fn client(&self, bag: BagId, seed: u64) -> BagClient {
-        let port = match self.port() {
-            None => StoragePort::Direct(self.cluster().clone()),
-            Some(port) => StoragePort::Rpc(port),
-        };
-        let client = BagClient::with_port(port, bag, seed);
+        let client = BagClient::with_port(self.port(), bag, seed);
         if self.coalesce_chunks > 0 {
             client.with_coalescing(self.coalesce_chunks)
         } else {
@@ -278,7 +263,7 @@ impl StorageEndpoint {
     /// Publishes cluster nodes added since the last sync to the RPC
     /// plane. Required on the `channel` plane after
     /// [`StorageCluster::add_node`]; a no-op elsewhere (`tcp` joins
-    /// arrive through the join server, direct/inline read the live
+    /// arrive through the join server, inline ports read the live
     /// cluster).
     pub fn sync(&self) {
         if let Plane::Channel { rpc, .. } = &self.plane {
@@ -338,7 +323,7 @@ impl StorageEndpoint {
                     server.shutdown();
                 }
             }
-            Plane::Direct(_) | Plane::Inline(_) => {}
+            Plane::Inline(_) => {}
         }
     }
 }
@@ -346,7 +331,6 @@ impl StorageEndpoint {
 impl std::fmt::Debug for StorageEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mode = match &self.plane {
-            Plane::Direct(_) => "direct",
             Plane::Inline(_) => "inline",
             Plane::Channel { .. } => "channel",
             Plane::Mesh { .. } => "mesh",
@@ -385,8 +369,7 @@ mod tests {
     #[test]
     fn every_in_process_plane_roundtrips() {
         for make in [
-            StorageEndpoint::direct as fn(Arc<StorageCluster>) -> StorageEndpoint,
-            StorageEndpoint::inline,
+            StorageEndpoint::inline as fn(Arc<StorageCluster>) -> StorageEndpoint,
             StorageEndpoint::channel,
         ] {
             let cluster = StorageCluster::new(3, ClusterConfig::default());
@@ -394,13 +377,6 @@ mod tests {
             roundtrip(&endpoint, 40);
             endpoint.shutdown();
         }
-    }
-
-    #[test]
-    fn direct_plane_has_no_port() {
-        let cluster = StorageCluster::new(2, ClusterConfig::default());
-        assert!(StorageEndpoint::direct(cluster.clone()).port().is_none());
-        assert!(StorageEndpoint::inline(cluster).port().is_some());
     }
 
     #[test]
@@ -456,7 +432,7 @@ mod tests {
     #[test]
     fn serve_joins_rejects_in_process_planes() {
         let cluster = StorageCluster::new(1, ClusterConfig::default());
-        let endpoint = StorageEndpoint::direct(cluster);
+        let endpoint = StorageEndpoint::inline(cluster);
         assert!(endpoint.serve_joins("127.0.0.1:0").is_err());
     }
 }

@@ -29,8 +29,8 @@
 //!   duplicated or retried envelope can never double-insert or lose a
 //!   removed chunk).
 //! * [`bag`] — `BagClient`, the per-worker handle combining placement with
-//!   cluster access over either the direct or the RPC port; [`prefetch`]
-//!   adds the b-outstanding-requests pipeline.
+//!   cluster access over an RPC port on any plane; [`prefetch`] adds the
+//!   b-outstanding-requests pipeline.
 //! * [`segment`] — the durable storage plane (`SEGMENT.md`): append-only
 //!   CRC-framed segment logs per `(bag, origin)` stream, on disk or on
 //!   the fault simulator's in-memory virtual disk. Durable nodes

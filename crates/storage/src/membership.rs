@@ -4,8 +4,7 @@
 //! Before this module, every RPC surface froze the node set at
 //! construction time: `StorageRpc::serve` snapshotted the cluster,
 //! `RpcPort` held a fixed connection vector, and a node added to the
-//! cluster afterwards was reachable only through the direct in-process
-//! API. A [`Membership`] is the shared, versioned view that replaces
+//! cluster afterwards was unreachable over RPC. A [`Membership`] is the shared, versioned view that replaces
 //! those snapshots: an ordered list of members (index = cluster node
 //! index) plus an **epoch** counter bumped on every change. Holders of
 //! the view — [`crate::rpc::RpcPort`] via

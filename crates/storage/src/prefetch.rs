@@ -4,18 +4,32 @@
 //! that storage stays busy and workers are never starved — "essentially
 //! overlapping computation and communication through prefetching of
 //! chunks". The prefetcher runs one background fetcher thread per
-//! consuming worker and delivers chunks through a bounded queue; how the
-//! fetcher talks to storage depends on the client's port:
+//! consuming worker and delivers chunks through a bounded queue.
 //!
-//! * **Direct port** (in-process method calls): one synchronous probe
-//!   round at a time, each asking the bag for up to `b` chunks
-//!   ([`BagClient::try_remove_batch`]). The queue bound stands in for the
-//!   outstanding-request budget.
-//! * **RPC port** ([`crate::rpc`]): a true pipeline. The fetcher keeps up
-//!   to `b` *concurrently outstanding* `RemoveBatch` requests against
-//!   distinct storage nodes (walking the client's pseudorandom cyclic
-//!   order) and collects completions as they arrive, so storage-side
-//!   latency is overlapped across nodes exactly as the paper describes.
+//! There is one fetch loop, over the client's [`crate::rpc::RpcPort`]
+//! whatever plane carries it. The fetcher keeps up to `min(b, m)`
+//! `RemoveBatch` requests *concurrently outstanding* against distinct
+//! storage nodes (walking the client's pseudorandom cyclic order over the
+//! `m` nodes) and collects completions as they arrive, so storage-side
+//! latency is overlapped across nodes exactly as the paper describes. On
+//! the inline plane a request executes as it is sent, so the pipeline
+//! degenerates to eager execution with the same bookkeeping.
+//!
+//! **Depth bound.** The `b` chunks are split across the in-flight
+//! requests: each asks for `max(1, b / min(b, m))` chunks, so one sweep
+//! removes at most `b` chunks from storage. Together with the handoff
+//! queue (two runs of at most `b`) and the run the consumer is draining,
+//! at most `4 · b` chunks are ever removed from storage but not yet
+//! returned by [`Prefetcher::recv`] — the bound of a loop probing `b`
+//! chunks at a time. Everything beyond that stays in storage, where the
+//! master's bag samples count it as remaining work when it weighs a
+//! clone.
+//!
+//! **Replicas.** An empty end-of-stream from a node is confirmed through
+//! its whole replica set before the node is written off (with
+//! replication): a restarted primary may have recovered a log missing
+//! runs that landed only at a backup while it was down, and those chunks
+//! must still be delivered. Unreachable nodes fail over the same way.
 //!
 //! Transport failures are *surfaced*: a fetcher that loses its connection
 //! mid-stream sends the error to the consumer rather than ending the
@@ -23,17 +37,18 @@
 //! end-of-bag mark is reported as [`StorageError::PrefetchAborted`] — a
 //! drained bag and a dead fetcher are never confused.
 //!
-//! The fetcher→consumer handoff is **batched**: each completed probe (a
-//! whole `RemoveBatch` reply, up to `b` chunks) crosses the bounded
-//! queue as one run, not one channel operation per chunk. The consumer
-//! side buffers the current run and serves [`Prefetcher::recv`] from it,
-//! so per-chunk delivery cost is a `VecDeque` pop, and the channel's
-//! synchronization is paid once per batch.
+//! The fetcher→consumer handoff is **batched**: the chunks one sweep
+//! collected cross the bounded queue as one run, not one channel
+//! operation per chunk. The consumer side buffers the current run and
+//! serves [`Prefetcher::recv`] from it, so per-chunk delivery cost is a
+//! `VecDeque` pop, and the channel's synchronization is paid once per
+//! sweep.
 
-use crate::bag::{BagClient, BatchRemoveResult, StoragePort};
+use crate::bag::BagClient;
 use crate::error::StorageError;
-use crate::rpc::{CompletionToken, StorageRequest, StorageResponse};
+use crate::rpc::{CompletionToken, RpcPort, StorageRequest, StorageResponse};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use hurricane_common::BagId;
 use hurricane_format::Chunk;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,9 +83,9 @@ pub struct Prefetcher {
 }
 
 impl Prefetcher {
-    /// Spawns a fetcher over `client` keeping up to `batch_factor` chunks
-    /// buffered (and, over an RPC port, up to `batch_factor` requests in
-    /// flight).
+    /// Spawns a fetcher over `client` keeping up to `batch_factor`
+    /// requests in flight and at most `batch_factor` chunks removed per
+    /// sweep (see the module docs for the depth bound).
     ///
     /// # Panics
     ///
@@ -82,16 +97,9 @@ impl Prefetcher {
         let ended = Arc::new(AtomicBool::new(false));
         let shutdown2 = shutdown.clone();
         let ended2 = ended.clone();
-        let pipelined = matches!(client.port, StoragePort::Rpc(_));
         let handle = std::thread::Builder::new()
             .name(format!("prefetch-{}", client.bag_id()))
-            .spawn(move || {
-                if pipelined {
-                    pipelined_fetch(client, batch_factor, &tx, &shutdown2, &ended2);
-                } else {
-                    direct_fetch(client, batch_factor, &tx, &shutdown2, &ended2);
-                }
-            })
+            .spawn(move || fetch(client, batch_factor, &tx, &shutdown2, &ended2))
             .expect("spawning prefetch thread");
         Self {
             rx: Some(rx),
@@ -155,45 +163,6 @@ impl Drop for Prefetcher {
     }
 }
 
-/// The synchronous fetch loop used over a direct (in-process) port: one
-/// batched probe round outstanding at a time.
-fn direct_fetch(
-    mut client: BagClient,
-    batch_factor: usize,
-    tx: &Sender<Result<Vec<Chunk>, StorageError>>,
-    shutdown: &AtomicBool,
-    ended: &AtomicBool,
-) {
-    let mut backoff_us = 10u64;
-    while !shutdown.load(Ordering::Acquire) {
-        // Grow the placement cycles over nodes added mid-stream.
-        client.refresh_membership();
-        match client.try_remove_batch(batch_factor) {
-            Ok(BatchRemoveResult::Chunks(chunks)) => {
-                backoff_us = 10;
-                // One handoff per probe round. A failed send means the
-                // consumer dropped the handle; exit immediately.
-                if tx.send(Ok(chunks)).is_err() {
-                    return;
-                }
-            }
-            Ok(BatchRemoveResult::Pending) => {
-                std::thread::sleep(Duration::from_micros(backoff_us));
-                backoff_us = (backoff_us * 2).min(1000);
-            }
-            Ok(BatchRemoveResult::Drained) => {
-                ended.store(true, Ordering::Release);
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                ended.store(true, Ordering::Release);
-                return;
-            }
-        }
-    }
-}
-
 /// What the last completed request from a node reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeLast {
@@ -234,10 +203,10 @@ struct InFlight {
     attempts: u32,
 }
 
-/// The pipelined fetch loop used over an RPC port: keeps up to `b`
-/// `RemoveBatch` requests outstanding against distinct nodes and collects
-/// completions out of order.
-fn pipelined_fetch(
+/// The fetch loop: keeps up to `min(b, m)` `RemoveBatch` requests of
+/// `max(1, b / min(b, m))` chunks outstanding against distinct nodes and
+/// collects completions out of order.
+fn fetch(
     mut client: BagClient,
     b: usize,
     tx: &Sender<Result<Vec<Chunk>, StorageError>>,
@@ -245,8 +214,10 @@ fn pipelined_fetch(
     ended: &AtomicBool,
 ) {
     let bag = client.bag;
-    let mut m = client.remove_cursor.len();
-    let mut target = b.min(m).max(1);
+    let replicated = client.cluster().replication() > 1;
+    let mut m = 0;
+    let mut target = 1;
+    let mut max_n = b;
     // At most one outstanding request per node (the paper spreads the `b`
     // requests over distinct nodes); `tokens[i]` is node i's in-flight
     // request plus the cluster sealed flag captured *at submit time* —
@@ -254,30 +225,21 @@ fn pipelined_fetch(
     // conclusion safe (a sealed bag rejects inserts, so nothing can land
     // after a pre-probe sealed read; a post-completion read would race a
     // concurrent insert-then-seal and drop the inserted chunk).
-    let mut tokens: Vec<Option<InFlight>> = vec![None; m];
-    let mut last: Vec<NodeLast> = vec![NodeLast::Unknown; m];
+    let mut tokens: Vec<Option<InFlight>> = Vec::new();
+    let mut last: Vec<NodeLast> = Vec::new();
     let mut outstanding = 0usize;
     let mut empty_streak = 0usize;
     let mut backoff_us = 10u64;
-
-    macro_rules! refresh_membership {
-        () => {{
-            // Pick up nodes that joined mid-stream (epoch check: one
-            // atomic load when nothing changed). New nodes start Unknown,
-            // so the top-up probes them like any other node.
-            client.refresh_membership();
-            let grown = client.remove_cursor.len();
-            if grown > m {
-                tokens.resize(grown, None);
-                last.resize(grown, NodeLast::Unknown);
-                m = grown;
-                target = b.min(m).max(1);
-            }
-        }};
-    }
+    // The chunks the current sweep collected for the consumer.
+    let mut run: Vec<Chunk> = Vec::new();
 
     macro_rules! fail {
         ($e:expr) => {{
+            // Chunks already consumed at storage still reach the
+            // consumer, ahead of the error.
+            if !run.is_empty() {
+                let _ = tx.send(Ok(std::mem::take(&mut run)));
+            }
             let _ = tx.send(Err($e));
             ended.store(true, Ordering::Release);
             return;
@@ -288,13 +250,23 @@ fn pipelined_fetch(
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        refresh_membership!();
-        let StoragePort::Rpc(port) = &mut client.port else {
-            unreachable!("pipelined_fetch requires an RPC port");
-        };
+        // Pick up nodes that joined mid-stream. New nodes start Unknown,
+        // so the top-up probes them like any other node.
+        client.refresh_membership();
+        let grown = client.remove_cursor.len();
+        if grown > m {
+            tokens.resize(grown, None);
+            last.resize(grown, NodeLast::Unknown);
+            m = grown;
+            target = b.min(m).max(1);
+            max_n = (b / target).max(1);
+        }
+        let port = &mut client.port;
 
         // Top up: issue requests to non-EOF nodes without one in flight,
-        // following the cyclic placement order.
+        // following the cyclic placement order. One sealed read serves
+        // the whole top-up: it precedes every probe issued after it.
+        let mut sealed = None;
         let mut scanned = 0;
         while outstanding < target && scanned < m {
             let node = client.remove_cursor.next_node();
@@ -302,15 +274,14 @@ fn pipelined_fetch(
             if tokens[node].is_some() || last[node] == NodeLast::Eof {
                 continue;
             }
-            let sealed_at_submit = match port.cluster().is_sealed(bag) {
-                Ok(s) => s,
-                Err(e) => fail!(e),
+            let sealed_at_submit = match sealed {
+                Some(s) => s,
+                None => match port.cluster().is_sealed(bag) {
+                    Ok(s) => *sealed.insert(s),
+                    Err(e) => fail!(e),
+                },
             };
-            match port.conns[node].submit_tracked(StorageRequest::RemoveBatch {
-                bag,
-                origin: node as u32,
-                max_n: b,
-            }) {
+            match port.conns[node].submit_tracked(remove_request(bag, node, max_n)) {
                 Ok((t, seq)) => {
                     tokens[node] = Some(InFlight {
                         token: t,
@@ -337,19 +308,23 @@ fn pipelined_fetch(
             return;
         }
 
-        // Collect completions (any order).
+        // Collect completions (any order) into one run for the consumer.
         let mut completed = 0usize;
-        let mut delivered = false;
         for node in 0..m {
             let Some(inflight) = tokens[node] else {
                 continue;
             };
-            let InFlight {
-                token,
-                sealed_at_submit,
-                ..
-            } = inflight;
-            match port.conns[node].try_poll(token) {
+            let reply = port.conns[node].try_poll(inflight.token);
+            if !matches!(reply, Ok(None)) {
+                tokens[node] = None;
+                outstanding -= 1;
+                completed += 1;
+            }
+            // A node whose answer is not final is served through its
+            // replica set: failover when it is unreachable, and with
+            // replication an empty end-of-stream is confirmed there.
+            let mut via_replicas = false;
+            match reply {
                 Ok(None) => {
                     // No reply yet. A probe outstanding past the port's
                     // request timeout is presumed lost (lossy transport or
@@ -360,95 +335,84 @@ fn pipelined_fetch(
                     // nothing is ever consumed twice or dropped. Without
                     // this sweep a single lost message would hang the
                     // stream forever.
-                    if inflight.issued.elapsed() >= port.timeout {
-                        port.conns[node].cancel(token);
-                        tokens[node] = None;
-                        outstanding -= 1;
-                        if inflight.attempts >= PREFETCH_ATTEMPTS {
-                            last[node] = NodeLast::Down;
-                        } else {
-                            match port.conns[node].resubmit(
-                                StorageRequest::RemoveBatch {
-                                    bag,
-                                    origin: node as u32,
-                                    max_n: b,
-                                },
-                                inflight.seq,
-                            ) {
-                                Ok(t) => {
-                                    tokens[node] = Some(InFlight {
-                                        token: t,
-                                        issued: Instant::now(),
-                                        attempts: inflight.attempts + 1,
-                                        ..inflight
-                                    });
-                                    outstanding += 1;
-                                }
-                                Err(StorageError::Disconnected(_)) => last[node] = NodeLast::Down,
-                                Err(e) => fail!(e),
-                            }
+                    if inflight.issued.elapsed() < port.timeout {
+                        continue;
+                    }
+                    port.conns[node].cancel(inflight.token);
+                    tokens[node] = None;
+                    outstanding -= 1;
+                    if inflight.attempts >= PREFETCH_ATTEMPTS {
+                        last[node] = NodeLast::Down;
+                        continue;
+                    }
+                    match port.conns[node].resubmit(remove_request(bag, node, max_n), inflight.seq)
+                    {
+                        Ok(t) => {
+                            tokens[node] = Some(InFlight {
+                                token: t,
+                                issued: Instant::now(),
+                                attempts: inflight.attempts + 1,
+                                ..inflight
+                            });
+                            outstanding += 1;
                         }
+                        Err(StorageError::Disconnected(_)) => last[node] = NodeLast::Down,
+                        Err(e) => fail!(e),
                     }
                 }
                 Ok(Some(StorageResponse::Removed(batch))) => {
-                    tokens[node] = None;
-                    outstanding -= 1;
-                    completed += 1;
                     if !batch.chunks.is_empty() {
-                        delivered = true;
                         last[node] = NodeLast::Chunks;
-                        if port.cluster().replication() > 1 {
+                        if replicated {
                             // Keep the backup pointers in step (the raw
-                            // node request bypasses the cluster's mirror).
+                            // node request bypasses the port's mirror).
                             mirror(port, node, bag, &batch.tags);
                         }
-                        // The whole drained reply crosses the consumer
-                        // boundary once.
-                        if tx.send(Ok(batch.chunks)).is_err() {
-                            return;
-                        }
-                    } else if batch.eof || (batch.exhausted && sealed_at_submit) {
+                        run.extend(batch.chunks);
+                    } else if batch.eof || (batch.exhausted && inflight.sealed_at_submit) {
                         // The cluster-level sealed flag is the end-of-bag
                         // authority, read BEFORE the probe was issued: a
                         // sealed bag rejects inserts, so an exhausted
-                        // stream under a pre-probe seal is final.
+                        // stream under a pre-probe seal is final — at
+                        // this replica.
                         last[node] = NodeLast::Eof;
+                        via_replicas = replicated;
                     } else {
                         last[node] = NodeLast::Empty;
                     }
                 }
                 Ok(Some(_)) => fail!(StorageError::Disconnected(port.conns[node].node())),
                 Err(
-                    e @ (StorageError::NodeDown(_)
+                    StorageError::NodeDown(_)
                     | StorageError::AllReplicasDown(_)
-                    | StorageError::Disconnected(_)),
+                    | StorageError::Disconnected(_),
                 ) => {
-                    tokens[node] = None;
-                    outstanding -= 1;
-                    completed += 1;
-                    if port.cluster().replication() > 1 {
-                        // Failover: retry through the replica set with the
-                        // synchronous port path (rare; correctness first).
-                        match port.remove_batch(node, bag, b) {
-                            Ok(batch) if !batch.chunks.is_empty() => {
-                                delivered = true;
-                                last[node] = NodeLast::Chunks;
-                                if tx.send(Ok(batch.chunks)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(batch) if batch.eof => last[node] = NodeLast::Eof,
-                            Ok(_) => last[node] = NodeLast::Empty,
-                            Err(StorageError::AllReplicasDown(_)) => last[node] = NodeLast::Down,
-                            Err(e) => fail!(e),
-                        }
-                    } else {
-                        let _ = e;
-                        last[node] = NodeLast::Down;
-                    }
+                    last[node] = NodeLast::Down;
+                    via_replicas = replicated;
                 }
                 Err(e) => fail!(e),
             }
+            if via_replicas {
+                // The synchronous port path probes every replica, claims
+                // a fallback serve and mirrors it (rare; correctness
+                // first).
+                match port.remove_batch(node, bag, max_n) {
+                    Ok(batch) if !batch.chunks.is_empty() => {
+                        last[node] = NodeLast::Chunks;
+                        run.extend(batch.chunks);
+                    }
+                    Ok(batch) if batch.eof => last[node] = NodeLast::Eof,
+                    Ok(_) => last[node] = NodeLast::Empty,
+                    Err(StorageError::AllReplicasDown(_)) => last[node] = NodeLast::Down,
+                    Err(e) => fail!(e),
+                }
+            }
+        }
+        let delivered = !run.is_empty();
+        // One handoff per sweep. A failed send means the consumer dropped
+        // the handle; exit immediately.
+        if delivered && tx.send(Ok(std::mem::take(&mut run))).is_err() {
+            return;
         }
 
         // A whole cluster of unreachable nodes is an error, not a drain —
@@ -457,20 +421,19 @@ fn pipelined_fetch(
             fail!(StorageError::AllReplicasDown(bag));
         }
         // Sealed bag with every node at end-of-file or unreachable: the
-        // reachable data is exhausted. (Same caveat as the direct path:
-        // chunks marooned on a down node without replicas are unreachable
-        // until it recovers.)
+        // reachable data is exhausted. (Chunks marooned on a down node
+        // without replicas are unreachable until it recovers.)
         if last
             .iter()
             .all(|&s| matches!(s, NodeLast::Eof | NodeLast::Down))
         {
-            let sealed = match client.port.cluster().is_sealed(bag) {
-                Ok(s) => s,
+            match client.cluster().is_sealed(bag) {
+                Ok(true) => {
+                    ended.store(true, Ordering::Release);
+                    return;
+                }
+                Ok(false) => {}
                 Err(e) => fail!(e),
-            };
-            if sealed {
-                ended.store(true, Ordering::Release);
-                return;
             }
         }
 
@@ -481,39 +444,38 @@ fn pipelined_fetch(
             empty_streak += completed;
             if empty_streak >= m {
                 // A full round of empty completions: the bag is (locally)
-                // empty but unsealed. Back off like the direct path.
+                // empty but unsealed. Back off before probing again.
                 std::thread::sleep(Duration::from_micros(backoff_us));
                 backoff_us = (backoff_us * 2).min(1000);
                 empty_streak = 0;
             }
-        } else {
+        } else if let Some(node) = (0..m).find(|&n| tokens[n].is_some()) {
             // Nothing completed this sweep: block briefly on one in-flight
-            // connection instead of spinning — or, with nothing in flight
-            // (unreachable nodes being re-probed), back off.
-            let StoragePort::Rpc(port) = &mut client.port else {
-                unreachable!();
-            };
-            if let Some(node) = (0..m).find(|&n| tokens[n].is_some()) {
-                port.conns[node].pump(PUMP_WAIT);
-            } else {
-                std::thread::sleep(Duration::from_micros(backoff_us));
-                backoff_us = (backoff_us * 2).min(1000);
-            }
+            // connection instead of spinning.
+            client.port.conns[node].pump(PUMP_WAIT);
+        } else {
+            // Nothing in flight (unreachable nodes being re-probed).
+            std::thread::sleep(Duration::from_micros(backoff_us));
+            backoff_us = (backoff_us * 2).min(1000);
         }
+    }
+}
+
+/// The probe of `node`'s own stream.
+fn remove_request(bag: BagId, node: usize, max_n: usize) -> StorageRequest {
+    StorageRequest::RemoveBatch {
+        bag,
+        origin: node as u32,
+        max_n,
     }
 }
 
 /// Marks the chunks the pipeline just consumed from `primary`'s own
 /// stream consumed on the backups too, by identity tag: all mirrors
 /// submitted first, acks collected afterwards (one overlapped round
-/// trip, not `r − 1`). Unreachable replicas are skipped exactly as in
-/// the direct path.
-fn mirror(
-    port: &mut crate::rpc::RpcPort,
-    primary: usize,
-    bag: hurricane_common::BagId,
-    tags: &[crate::node::TagSegment],
-) {
+/// trip, not `r − 1`). Unreachable replicas are skipped, as in
+/// [`RpcPort::remove_batch`].
+fn mirror(port: &mut RpcPort, primary: usize, bag: BagId, tags: &[crate::node::TagSegment]) {
     let m = port.conns.len();
     let r = port.cluster().replication();
     let origin = primary as u32;
@@ -765,6 +727,93 @@ mod tests {
         cluster.node(0).fail();
         let mut pf = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 11), 2);
         assert!(pf.recv().is_err());
+    }
+
+    /// Chunks removed from storage but not yet returned by `recv`, after
+    /// the fetcher has had time to run ahead of a stalled consumer.
+    fn unreceived_after_stall(cluster: &Arc<StorageCluster>, bag: BagId, pf: &mut Prefetcher) {
+        let b = 8;
+        let total = cluster.sample_bag(bag).unwrap().total_chunks;
+        for received in [0u64, 1] {
+            if received == 1 {
+                assert!(pf.recv().unwrap().is_some());
+            }
+            std::thread::sleep(Duration::from_millis(100));
+            let removed = total - cluster.sample_bag(bag).unwrap().remaining_chunks;
+            assert!(
+                removed - received <= ((HANDOFF_RUNS + 2) * b) as u64,
+                "{} chunks removed but not received, bound {}",
+                removed - received,
+                (HANDOFF_RUNS + 2) * b
+            );
+        }
+    }
+
+    fn filled_bag(m: usize, replication: usize, n: u64) -> (Arc<StorageCluster>, BagId) {
+        let cluster = StorageCluster::new(m, ClusterConfig { replication });
+        let bag = cluster.create_bag();
+        let chunks: Vec<Chunk> = (0..n).map(chunk).collect();
+        BagClient::new(cluster.clone(), bag, 1)
+            .insert_batch(&chunks)
+            .unwrap();
+        cluster.seal_bag(bag).unwrap();
+        (cluster, bag)
+    }
+
+    #[test]
+    fn prefetch_depth_stays_within_bound_inline() {
+        // One sweep over m = b nodes may remove at most b chunks, not m·b:
+        // what the fetcher holds back stays visible to the master's
+        // remaining-work samples.
+        let (cluster, bag) = filled_bag(8, 1, 1000);
+        let mut pf = Prefetcher::spawn(BagClient::new(cluster.clone(), bag, 2), 8);
+        unreceived_after_stall(&cluster, bag, &mut pf);
+    }
+
+    #[test]
+    fn prefetch_depth_stays_within_bound_over_channel() {
+        let (cluster, bag) = filled_bag(8, 1, 1000);
+        let ep = StorageEndpoint::channel(cluster.clone());
+        let mut pf = Prefetcher::spawn(ep.client(bag, 2), 8);
+        unreceived_after_stall(&cluster, bag, &mut pf);
+        drop(pf);
+        ep.shutdown();
+    }
+
+    /// A chunk stored only at the backup (its primary was down during the
+    /// insert, then came back with a log that never saw it) must still be
+    /// delivered: the primary's empty end-of-stream is not authoritative.
+    fn drains_chunk_stranded_on_backup(
+        client: impl FnOnce(&Arc<StorageCluster>, BagId) -> BagClient,
+    ) {
+        let cluster = StorageCluster::new(3, ClusterConfig { replication: 2 });
+        let bag = cluster.create_bag();
+        cluster.node(0).fail();
+        cluster.insert(0, bag, chunk(7)).unwrap(); // lands at backup 1 only
+        cluster.node(0).recover();
+        cluster.seal_bag(bag).unwrap();
+        let mut pf = Prefetcher::spawn(client(&cluster, bag), 4);
+        let mut got = Vec::new();
+        while let Some(c) = pf.recv().unwrap() {
+            got.push(c);
+        }
+        assert_eq!(got, vec![chunk(7)], "the stranded chunk was dropped");
+    }
+
+    #[test]
+    fn prefetcher_drains_chunk_stranded_on_backup_inline() {
+        drains_chunk_stranded_on_backup(|cluster, bag| BagClient::new(cluster.clone(), bag, 2));
+    }
+
+    #[test]
+    fn prefetcher_drains_chunk_stranded_on_backup_over_channel() {
+        let mut endpoint = None;
+        drains_chunk_stranded_on_backup(|cluster, bag| {
+            endpoint
+                .insert(StorageEndpoint::channel(cluster.clone()))
+                .client(bag, 2)
+        });
+        endpoint.expect("endpoint built").shutdown();
     }
 
     #[test]

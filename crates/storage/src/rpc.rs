@@ -46,17 +46,21 @@
 //! * [`RpcPort`] — a per-owner set of connections (one per node) plus the
 //!   cluster metadata handle; implements the cluster-level data plane
 //!   (replica fan-out with backups-first ordering, failover, pointer
-//!   mirroring) on top of submit/wait. [`crate::BagClient`] routes through
-//!   it when minted from a non-direct [`crate::StorageEndpoint`].
+//!   mirroring) on top of submit/wait. This is the only implementation
+//!   of that logic: every [`crate::BagClient`] routes through a port, and
+//!   the [`StorageCluster`] data-plane methods delegate to an inline one.
 //! * [`StorageRpc`] — serves every node of a cluster and mints ports.
 //!
 //! # Replication over RPC
 //!
-//! Replicated inserts preserve the backups-first invariant (see
-//! [`crate::StorageCluster::insert_batch`]): backups are written —
+//! Replicated inserts land **backups first**: backups are written —
 //! concurrently, overlapping their acks — and *acknowledged* before the
 //! primary write is issued, so anything a reader could have been served
-//! from the primary already exists on every backup. Every fan-out shares
+//! from the primary already exists on every backup, and a failover after
+//! the primary's death can serve what the primary served. Concurrent
+//! writers to one primary serialize their fan-out on the cluster's
+//! per-(bag, origin) ordering lock, so every replica's origin stream
+//! holds the runs in the same order. Every fan-out shares
 //! one writer-minted **run id** ([`crate::next_run_id`]), giving each
 //! chunk the same `(run, k)` identity at every replica; pointer mirrors
 //! then consume by identity ([`StorageRequest::MirrorConsumed`]), which
@@ -1545,18 +1549,21 @@ pub struct PortStats {
 }
 
 /// A per-owner data-plane handle over RPC: one connection per node plus
-/// the cluster metadata. Implements the same cluster-level semantics as
-/// the direct API (replication fan-out, failover, pointer mirroring,
-/// sealed-flag authority), but over correlated messages — with the
-/// cross-batch insert coalescer of the module docs in front of the wire.
+/// the cluster metadata. Implements the cluster-level semantics
+/// (replication fan-out, failover, pointer mirroring, sealed-flag
+/// authority) over correlated messages — with the cross-batch insert
+/// coalescer of the module docs in front of the wire.
 pub struct RpcPort {
     cluster: Arc<StorageCluster>,
     pub(crate) conns: Vec<NodeConnection>,
     pub(crate) timeout: Duration,
     /// The live node view this port refreshes against, when elastic
     /// (minted by [`StorageRpc::port`] or built over a membership);
-    /// `None` for fixed-connection ports.
+    /// `None` for fixed-connection and inline ports.
     membership: Option<crate::membership::Membership>,
+    /// Whether the connections are [`InlineTransport`]s into the
+    /// cluster's own nodes: refreshes then follow the live cluster.
+    inline: bool,
     /// The membership epoch the connection set was last synced to.
     epoch_seen: u64,
     /// Indices whose member could not be dialed at the last sync; they
@@ -1585,15 +1592,14 @@ impl RpcPort {
     /// Builds a port whose every connection is an [`InlineTransport`]:
     /// the message protocol without server threads, for colocated
     /// compute and storage.
+    ///
+    /// The port follows cluster growth: [`RpcPort::refresh_membership`]
+    /// dials nodes added by [`StorageCluster::add_node`] since.
     pub fn inline(cluster: Arc<StorageCluster>) -> Self {
-        let conns = (0..cluster.num_nodes())
-            .map(|i| {
-                NodeConnection::new(
-                    Box::new(InlineTransport::new(cluster.node(i))) as Box<dyn Transport>
-                )
-            })
-            .collect();
-        Self::from_connections(cluster, conns, DEFAULT_REQUEST_TIMEOUT)
+        let mut port = Self::from_connections(cluster, Vec::new(), DEFAULT_REQUEST_TIMEOUT);
+        port.inline = true;
+        port.refresh_membership();
+        port
     }
 
     /// Builds a port from explicit connections — the seam where custom
@@ -1616,6 +1622,7 @@ impl RpcPort {
             conns,
             timeout,
             membership: None,
+            inline: false,
             epoch_seen: 0,
             unreachable: Vec::new(),
             credit: DEFAULT_WRITER_CREDIT,
@@ -1650,9 +1657,18 @@ impl RpcPort {
     /// member joined since the last sync, applying the port's credit,
     /// timeout, and retry settings to the new connections. Returns whether
     /// the port grew. A no-op (one atomic load) when the epoch has not
-    /// moved, so callers poll it freely; fixed-connection ports always
-    /// return false.
+    /// moved, so callers poll it freely. An inline port dials the cluster
+    /// nodes past its connection set instead; fixed-connection ports
+    /// always return false.
     pub fn refresh_membership(&mut self) -> bool {
+        let before = self.conns.len();
+        if self.inline {
+            for i in before..self.cluster.num_nodes() {
+                let transport = Box::new(InlineTransport::new(self.cluster.node(i)));
+                self.push_conn(transport);
+            }
+            return self.conns.len() > before;
+        }
         let Some(membership) = self.membership.clone() else {
             return false;
         };
@@ -1664,43 +1680,40 @@ impl RpcPort {
         // The epoch moved, so the view changed: re-dial members that were
         // unreachable at an earlier sync (e.g. a process restarted behind
         // the same membership slot).
-        let credit = self.credit;
-        let timeout = self.timeout;
-        let retry = self.retry;
-        let conns = &mut self.conns;
-        self.unreachable.retain(|&idx| {
-            let Ok(transport) = members[idx].connector.connect() else {
-                return true;
-            };
-            let mut conn = NodeConnection::with_credit(transport, credit);
-            conn.set_credit_timeout(timeout);
-            conn.set_retry_policy(retry);
-            conns[idx] = conn;
-            false
-        });
-        let mut grown = false;
-        for (idx, member) in members.iter().enumerate().skip(self.conns.len()) {
-            let mut conn = match member.connector.connect() {
-                Ok(transport) => NodeConnection::with_credit(transport, self.credit),
-                Err(_) => {
-                    // Keep `conns[i]` ↔ member `i` alignment with a dead
-                    // placeholder; failover treats it exactly like a node
-                    // that died mid-conversation.
-                    self.unreachable.push(idx);
-                    NodeConnection::with_credit(
-                        Box::new(DeadTransport { node: member.node }),
-                        self.credit,
-                    )
-                }
-            };
-            conn.set_credit_timeout(self.timeout);
-            conn.set_retry_policy(self.retry);
-            self.conns.push(conn);
-            self.staged.push(Vec::new());
-            grown = true;
+        for idx in std::mem::take(&mut self.unreachable) {
+            match members[idx].connector.connect() {
+                Ok(transport) => self.conns[idx] = self.configured(transport),
+                Err(_) => self.unreachable.push(idx),
+            }
+        }
+        for (idx, member) in members.iter().enumerate().skip(before) {
+            let transport = member.connector.connect().unwrap_or_else(|_| {
+                // Keep `conns[i]` ↔ member `i` alignment with a dead
+                // placeholder; failover treats it exactly like a node
+                // that died mid-conversation.
+                self.unreachable.push(idx);
+                Box::new(DeadTransport { node: member.node })
+            });
+            self.push_conn(transport);
         }
         self.epoch_seen = epoch;
-        grown
+        self.conns.len() > before
+    }
+
+    /// Wraps `transport` in a connection carrying this port's credit,
+    /// timeout and retry settings.
+    fn configured(&self, transport: Box<dyn Transport>) -> NodeConnection {
+        let mut conn = NodeConnection::with_credit(transport, self.credit);
+        conn.set_credit_timeout(self.timeout);
+        conn.set_retry_policy(self.retry);
+        conn
+    }
+
+    /// Appends a connection (and its staging queue) for the next node.
+    fn push_conn(&mut self, transport: Box<dyn Transport>) {
+        let conn = self.configured(transport);
+        self.conns.push(conn);
+        self.staged.push(Vec::new());
     }
 
     /// The cluster whose metadata governs this port.
@@ -1775,7 +1788,9 @@ impl RpcPort {
     }
 
     /// Whether `e` marks a replica as unreachable (fail over / reroute)
-    /// rather than a hard protocol error.
+    /// rather than a hard protocol error: the node refused the operation
+    /// ([`StorageError::routes_around`]: down, draining, or a disk that
+    /// can no longer journal) or its transport is gone.
     ///
     /// `Disconnected` qualifies: server shutdown *drains* (every accepted
     /// request is answered before the loops exit), so a disconnect means
@@ -1786,21 +1801,17 @@ impl RpcPort {
     /// propagate as hard errors for the caller's recovery machinery
     /// (task restart) to handle.
     fn replica_unreachable(e: &StorageError) -> bool {
-        matches!(
-            e,
-            StorageError::NodeDown(_)
-                | StorageError::NodeDraining(_)
-                | StorageError::Disconnected(_)
-        )
+        e.routes_around() || matches!(e, StorageError::Disconnected(_))
     }
 
-    /// RPC counterpart of [`StorageCluster::insert_batch`]: writes `chunks`
-    /// to the replica set of `primary_idx`, overlapping the backup acks.
+    /// Writes `chunks` to the replica set of `primary_idx` as one insert
+    /// run, overlapping the backup acks.
     ///
     /// Backups are submitted concurrently and *all acknowledged* before the
     /// primary write is issued, preserving the backups-first invariant.
-    /// Flushes any staged coalesced inserts first, so the port's writes
-    /// stay ordered across the two paths.
+    /// Succeeds if the run lands on at least one replica. Flushes any
+    /// staged coalesced inserts first, so the port's writes stay ordered
+    /// across the two paths.
     pub fn insert_batch(
         &mut self,
         primary_idx: usize,
@@ -2054,10 +2065,12 @@ impl RpcPort {
         Err(last_err.unwrap_or(StorageError::AllReplicasDown(bag)))
     }
 
-    /// RPC counterpart of [`StorageCluster::remove_batch`]: failover
-    /// across the replica set, pointer mirroring onto the live backups,
-    /// cluster sealed flag as the end-of-bag authority. Staged coalesced
-    /// inserts are flushed first so a port always reads its own writes.
+    /// Removes up to `max_n` chunks whose primary is `primary_idx`:
+    /// failover across the replica set, pointer mirroring onto the live
+    /// backups, cluster sealed flag as the end-of-bag authority. A replica
+    /// set with no reachable member is [`StorageError::AllReplicasDown`].
+    /// Staged coalesced inserts are flushed first so a port always reads
+    /// its own writes.
     pub fn remove_batch(
         &mut self,
         primary_idx: usize,
@@ -2073,15 +2086,15 @@ impl RpcPort {
         let mut serving = None;
         let mut first_empty: Option<NodeRemoveBatch> = None;
         let mut probed_empty: Vec<usize> = Vec::new();
-        let mut soft_err = None;
         for k in 0..r {
             let idx = (primary + k) % m;
             match self.call(idx, StorageRequest::RemoveBatch { bag, origin, max_n }) {
-                // As in the direct path: an empty serve is not
-                // authoritative, because a restarted replica may have
-                // recovered a log missing runs that landed only at a
-                // backup while it was down. Probe the whole replica set
-                // before reporting the group exhausted.
+                // An empty serve is not authoritative: a restarted
+                // replica may have recovered a log missing runs that
+                // landed only at a backup while it was down. Probe the
+                // whole replica set before reporting the group
+                // exhausted, or acked chunks marooned at a backup would
+                // be masked by a premature end-of-bag.
                 Ok(StorageResponse::Removed(batch)) if batch.chunks.is_empty() => {
                     probed_empty.push(idx);
                     if first_empty.is_none() {
@@ -2093,13 +2106,13 @@ impl RpcPort {
                     break;
                 }
                 Ok(other) => return Err(protocol_violation(self.conns[idx].node(), &other)),
-                Err(e) if Self::replica_unreachable(&e) => soft_err = Some(e),
+                Err(e) if Self::replica_unreachable(&e) => {}
                 Err(e) => return Err(e),
             }
         }
         let Some((served_by, mut batch)) = serving else {
             let Some(mut batch) = first_empty else {
-                return Err(soft_err.unwrap_or(StorageError::AllReplicasDown(bag)));
+                return Err(StorageError::AllReplicasDown(bag));
             };
             batch.eof = batch.exhausted && sealed;
             return Ok(batch);
@@ -2131,8 +2144,8 @@ impl RpcPort {
             // Mirror the served chunks' identities onto the other
             // replicas. Acks are awaited (cheap) so a subsequent failover
             // cannot observe a lagging pointer; unreachable replicas are
-            // skipped exactly as in the direct path. Replicas probed
-            // empty were just claimed — the claim is the mirror.
+            // skipped. Replicas probed empty were just claimed — the
+            // claim is the mirror.
             let request = StorageRequest::MirrorConsumed {
                 bag,
                 origin,
@@ -2158,7 +2171,8 @@ impl RpcPort {
         Ok(batch)
     }
 
-    /// RPC counterpart of [`StorageCluster::remove`] (the `n = 1` case).
+    /// Removes the next chunk whose primary is `primary_idx` (the `n = 1`
+    /// case of [`RpcPort::remove_batch`]).
     pub fn remove(&mut self, primary_idx: usize, bag: BagId) -> Result<NodeRemove, StorageError> {
         let batch = self.remove_batch(primary_idx, bag, 1)?;
         Ok(match batch.chunks.into_iter().next() {
@@ -2168,7 +2182,7 @@ impl RpcPort {
         })
     }
 
-    /// RPC counterpart of [`StorageCluster::sample_bag`]: fans the sample
+    /// Port form of [`StorageCluster::sample_bag`]: fans the sample
     /// out to every node concurrently and merges the replies. Staged
     /// coalesced inserts are flushed first so the sample sees them.
     pub fn sample_bag(&mut self, bag: BagId) -> Result<BagSample, StorageError> {

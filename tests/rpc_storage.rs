@@ -324,7 +324,7 @@ fn coalescer_reduces_insert_envelope_count() {
     for batch in chunks.chunks(64) {
         eager.insert_batch(batch).unwrap();
     }
-    let eager_stats = eager.port_stats().unwrap();
+    let eager_stats = eager.port_stats();
     assert_eq!(eager_stats.insert_envelopes, 32, "8 nodes x 4 batches");
     assert_eq!(eager_stats.flushes, 4);
 
@@ -334,7 +334,7 @@ fn coalescer_reduces_insert_envelope_count() {
         coalesced.insert_batch(batch).unwrap();
     }
     coalesced.flush().unwrap();
-    let stats = coalesced.port_stats().unwrap();
+    let stats = coalesced.port_stats();
     assert_eq!(stats.staged_chunks, 256);
     assert_eq!(
         stats.insert_envelopes, 8,

@@ -34,8 +34,8 @@ fn chunk_val(c: &Chunk) -> u64 {
 }
 
 /// Runs the stress pattern on `cluster` and checks exactly-once delivery
-/// plus exact final sample totals. `make_client` decides the storage path
-/// (direct in-process calls, or messages over the RPC boundary).
+/// plus exact final sample totals. `make_client` decides the storage
+/// plane (inline dispatch, or channel servers).
 fn stress_with(
     cluster: Arc<StorageCluster>,
     make_client: impl Fn(hurricane_common::BagId, u64) -> BagClient + Send + Sync,
